@@ -21,7 +21,7 @@
 //! medians and speedups over the matching baseline are printed and, with
 //! `--json PATH`, archived (`BENCH_PR4.json`) with the machine
 //! fingerprint and single-threaded `OpStats` attribution records
-//! (`cache_hits` / `cache_stale` / `prefetch_waves`), so a win or a loss
+//! (`cache_hits` / `cache_stale`), so a win or a loss
 //! is traced to counters rather than guessed at.
 //!
 //! Size matters: run once DRAM-resident (`--n 4194304`, the default) and
@@ -64,8 +64,7 @@ fn main() {
     let m = arrivals.total_edges();
     println!(
         "n = {n}, {batches} bursts x {batch_size} edges = {m} edges, zipf {zipf}, \
-         repeat {repeat}, {samples} interleaved samples per arm, prefetch {}",
-        if concurrent_dsu::store::prefetch_enabled() { "on" } else { "off" }
+         repeat {repeat}, {samples} interleaved samples per arm"
     );
 
     // Arm index -> one timed run at thread count p, on a fresh structure.
@@ -161,8 +160,8 @@ fn main() {
             cached,
         );
         println!(
-            "{name}: reads {} cache_hits {} cache_stale {} prefetch_waves {}",
-            stats.reads, stats.cache_hits, stats.cache_stale, stats.prefetch_waves
+            "{name}: reads {} cache_hits {} cache_stale {}",
+            stats.reads, stats.cache_hits, stats.cache_stale
         );
         if !attribution.is_empty() {
             attribution.push(',');
@@ -200,11 +199,10 @@ fn main() {
         let json = format!(
             "{{\n  \"example\": \"cache_ab\",\n  \"machine\": {},\n  \"workload\": {{\"n\": {n}, \
              \"batches\": {batches}, \"batch_size\": {batch_size}, \"zipf\": {zipf}, \
-             \"repeat\": {repeat}, \"seed\": \"0xBA7C\"}},\n  \"prefetch\": {},\n  \
+             \"repeat\": {repeat}, \"seed\": \"0xBA7C\"}},\n  \
              \"samples\": {samples},\n  \"results\": [{rows}\n  ],\n  \
              \"attribution_1thread\": {{{attribution}\n  }}\n}}\n",
             machine_fingerprint_json(),
-            concurrent_dsu::store::prefetch_enabled(),
         );
         std::fs::write(path, json).expect("write json");
         println!("wrote {path}");

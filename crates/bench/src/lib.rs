@@ -255,7 +255,7 @@ pub fn timed_ingest_batched_tuned<F: FindPolicy, S: DsuStore>(
 /// Single-threaded instrumented twin of [`timed_ingest_batched_tuned`]:
 /// ingests the whole trace through one (optionally cached) session and
 /// returns the merged [`OpStats`] — the attribution record (`cache_hits`,
-/// `cache_stale`, `prefetch_waves`, reads, CASes) the A/B JSON archives
+/// `cache_stale`, reads, CASes) the A/B JSON archives
 /// next to the timings.
 pub fn ingest_stats_tuned<F: FindPolicy, S: DsuStore>(
     dsu: &Dsu<F, S>,
@@ -290,8 +290,8 @@ pub fn stats_json(stats: &OpStats) -> String {
     format!(
         "{{\"reads\": {}, \"loop_iters\": {}, \"compact_cas_ok\": {}, \"compact_cas_fail\": {}, \
          \"links_ok\": {}, \"links_fail\": {}, \"cache_hits\": {}, \"cache_stale\": {}, \
-         \"prefetch_waves\": {}, \"dup_edges_dropped\": {}, \"bucket_count\": {}, \
-         \"spill_edges\": {}, \"cas_retries\": {}, \"faults_injected\": {}}}",
+         \"dup_edges_dropped\": {}, \"bucket_count\": {}, \"spill_edges\": {}, \
+         \"cas_retries\": {}, \"faults_injected\": {}}}",
         stats.reads,
         stats.loop_iters,
         stats.compact_cas_ok,
@@ -300,7 +300,6 @@ pub fn stats_json(stats: &OpStats) -> String {
         stats.links_fail,
         stats.cache_hits,
         stats.cache_stale,
-        stats.prefetch_waves,
         stats.dup_edges_dropped,
         stats.bucket_count,
         stats.spill_edges,
@@ -468,7 +467,6 @@ mod tests {
         assert_eq!(off.cache_hits + off.cache_stale, 0, "cache-off must not touch the cache");
         let json = stats_json(&on);
         assert!(json.contains("\"cache_hits\""));
-        assert!(json.contains("\"prefetch_waves\""));
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //!    in **gather waves** of mutually independent loads the memory system
 //!    overlaps — memory-level parallelism per-op dispatch cannot express.
 //!    [`WaveDepth`] selects how many parent levels are front-loaded (two
-//!    or three); with the `prefetch` feature the next group's endpoint
-//!    words are additionally software-prefetched one wave ahead, so by the
-//!    time that wave's gather issues, its lines are already inbound.
+//!    or three).
 //! 2. **Redundant work per edge.** The walks then run *seeded*: the word
 //!    in hand is carried from step to step (one fresh load per visited
 //!    node, where the standalone find policies pay two), same-set edges
@@ -376,8 +374,7 @@ where
 /// Processes the slice in [`GATHER`]-sized waves: gather the group's
 /// parent-word levels (wave-1 slots of cached endpoints load the cached
 /// root's word instead — the validation load, overlapped with everything
-/// else), software-prefetch the *next* group's endpoints (`prefetch`
-/// feature), filter every edge (read-mostly — same-set drops cost no link
+/// else), filter every edge (read-mostly — same-set drops cost no link
 /// CAS), then link the group's survivors from their recorded observations.
 /// Outcomes are reported exactly once per edge but *not* in index order
 /// (same-set edges report during the filter step of their wave).
@@ -536,34 +533,6 @@ where
     links
 }
 
-/// Software-prefetch of group `g + 1`'s endpoint words, issued while group
-/// `g`'s gather loads are still outstanding: by the time that wave's
-/// gather issues, its lines are inbound. `lens` maps each endpoint to the
-/// cell its wave-1 slot will actually load (identity for the plain loop;
-/// the cached loop substitutes the endpoint's cached root, since that is
-/// the word its seeded gather reads). A pure hint — compiled in only
-/// under the `prefetch` feature.
-#[inline]
-fn prefetch_next_group<P, S>(
-    store: &P,
-    edges: &[(usize, usize)],
-    g: usize,
-    lens: impl Fn(usize) -> usize,
-    stats: &mut S,
-) where
-    P: ParentStore + ?Sized,
-    S: StatsSink,
-{
-    let next_start = (g + 1) * GATHER;
-    if crate::store::prefetch_enabled() && next_start < edges.len() {
-        for &(x, y) in &edges[next_start..(next_start + GATHER).min(edges.len())] {
-            store.prefetch(lens(x));
-            store.prefetch(lens(y));
-        }
-        stats.prefetch_wave();
-    }
-}
-
 /// The cache-less batch loop (the default path): gather waves straight
 /// from the endpoints, unrolled resolves, link pass.
 fn batch_plain<L, P, S>(
@@ -610,7 +579,6 @@ where
             }));
             stats.reads(2 * group.len());
         }
-        prefetch_next_group(store, edges, g, |x| x, stats);
         // Filter: seeded root walks from the gathered words.
         survivors.clear();
         for (k, &(x, y)) in group.iter().enumerate() {
@@ -711,14 +679,6 @@ where
             }));
             stats.reads(fresh);
         }
-        // Prefetch the next group through the same cache lens its wave 1
-        // will use: a seeded endpoint's gather reads its cached *root's*
-        // word, so that is the line worth warming, not the endpoint's.
-        // (The entry may change before that gather runs — the filter
-        // below inserts and evicts — but a prefetch is free to be
-        // slightly stale.)
-        let lens_cache: &RootCache = cache;
-        prefetch_next_group(store, edges, g, |e| lens_cache.get(e).unwrap_or(e), stats);
         // Filter: validate seeded slots, walk the rest, memoize results.
         survivors.clear();
         for (k, &(x, y)) in group.iter().enumerate() {
@@ -1003,20 +963,5 @@ mod tests {
         let mut plain = crate::OpStats::default();
         unite_batch::<RandomLink, _, _>(&store, &edges, &mut plain, |_, _| {});
         assert_eq!(plain.cache_hits + plain.cache_stale, 0);
-    }
-
-    #[test]
-    fn prefetch_wave_counter_matches_feature() {
-        let n = 3 * GATHER;
-        let store = PackedStore::with_seed(n, 1);
-        let edges: Vec<(usize, usize)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-        let mut stats = crate::OpStats::default();
-        unite_batch::<RandomLink, _, _>(&store, &edges, &mut stats, |_, _| {});
-        if crate::store::prefetch_enabled() {
-            // One prefetch wave per group except the last.
-            assert_eq!(stats.prefetch_waves, 2);
-        } else {
-            assert_eq!(stats.prefetch_waves, 0);
-        }
     }
 }

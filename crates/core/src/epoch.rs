@@ -393,11 +393,6 @@ impl ParentStore for EpochStore {
     fn priority(&self, _i: usize, w: u64) -> u64 {
         store::packed_id(w)
     }
-
-    #[inline]
-    fn prefetch(&self, i: usize) {
-        store::prefetch_read(self.cell(i) as *const AtomicU64);
-    }
 }
 
 impl IdOrder for EpochStore {

@@ -409,11 +409,6 @@ impl<S: ParentStore> ParentStore for FaultyStore<S> {
     }
 
     #[inline(always)]
-    fn prefetch(&self, i: usize) {
-        self.inner.prefetch(i);
-    }
-
-    #[inline(always)]
     fn rank_of(w: S::Word) -> u64 {
         S::rank_of(w)
     }
@@ -645,10 +640,6 @@ impl StatsSink for RetryBudget {
     #[inline]
     fn cache_stale(&mut self) {
         self.stats.cache_stale();
-    }
-    #[inline]
-    fn prefetch_wave(&mut self) {
-        self.stats.prefetch_wave();
     }
     #[inline]
     fn dup_edges_dropped(&mut self, n: usize) {

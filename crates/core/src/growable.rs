@@ -132,11 +132,6 @@ impl ParentStore for SegmentedStore {
         // parent-word loads and compare hashes directly.
         self.order.less(u, v)
     }
-
-    #[inline]
-    fn prefetch(&self, i: usize) {
-        store::prefetch_read(self.cell(i) as *const AtomicUsize);
-    }
 }
 
 impl IdOrder for SegmentedStore {
@@ -252,11 +247,6 @@ impl ParentStore for PackedSegmentedStore {
     #[inline]
     fn priority(&self, _i: usize, w: u64) -> u64 {
         store::packed_id(w)
-    }
-
-    #[inline]
-    fn prefetch(&self, i: usize) {
-        store::prefetch_read(self.cell(i) as *const AtomicU64);
     }
 }
 

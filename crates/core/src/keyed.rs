@@ -1,61 +1,64 @@
 //! Keyed entity resolution: arbitrary hashable keys over the packed core.
 //!
-//! Every production consumer of union-find in the related-work sets is
-//! *keyed*, not array-indexed: structural-variant mergers unite records by
-//! row key, query optimizers unite plan-group ids through an
-//! `RwLock<HashMap>`. The bottleneck in those systems is the keyed facade —
-//! a lock around a hash map — not the union-find underneath. [`KeyedDsu`]
-//! replaces that facade with a **lock-free sharded id table**: keys hash to
-//! dense element indices of a [`GrowableDsu`], and all
-//! set operations run on the packed word store this repo has spent six PRs
-//! optimizing.
+//! Production consumers of union-find are *keyed*: they unite records by
+//! row key or plan-group id, usually through a lock around a hash map, and
+//! that facade — not the union-find underneath — is their bottleneck.
+//! [`KeyedDsu`] replaces it with a **lock-free sharded id table**: keys
+//! hash to dense element indices of a [`GrowableDsu`], and all set
+//! operations run on the packed word store.
 //!
 //! # The id table
 //!
-//! The table maps `K → usize` (a dense id, assigned by
+//! The table maps each key to a dense id (assigned by
 //! [`make_set`](crate::GrowableDsu::make_set) in insertion order) and never
-//! deletes. It is sharded by the **high bits** of a seeded 64-bit hash —
-//! the same high-bit block geometry as
-//! [`ShardedStore`](crate::ShardedStore), applied where it actually pays:
-//! inserts of unrelated keys touch different shards' allocations, so no
-//! cache line is hammered by every thread, and false sharing cannot cross
-//! a shard boundary. Each shard is a directory of doubling open-addressed
-//! *segments* (64, 128, 256, … slots). Slots are claimed by CAS and
-//! entries **never move or rehash** — growth allocates a fresh segment
-//! (counted as [`id_table_resizes`](crate::OpStats::id_table_resizes))
-//! and leaves every published slot exactly where a concurrent reader may
-//! be probing it.
+//! deletes. It is sharded by the **high bits** of a seeded 64-bit hash.
+//! Each shard is a directory of *segments* growing ×4 (256, 1024, 4096, …
+//! slots); a segment is an array of 64-byte **buckets** of eight one-word
+//! slots, each an `AtomicU64`:
 //!
-//! A key's probe path is a deterministic sequence: **one** hashed
-//! candidate slot per segment, visited in segment order (a multi-slot
-//! window per segment would force every operation to re-scan the
-//! saturated early segments' windows end to end; one candidate per
-//! segment keeps the whole path at ~one load per allocated segment).
-//! Inserts claim the **first empty slot** on that path with a CAS;
-//! because slots only ever go from empty to occupied, two racing inserts
-//! of the same unseen key cannot both claim — the loser's CAS fails, it
-//! re-examines the slot, finds the winner's tag, and adopts the winner's
-//! id (proved in the comment on `resolve`; stress-tested in
-//! `tests/keyed_semantics.rs`). Exactly one dense id is ever allocated
-//! per distinct key.
+//! ```text
+//! | tag: bits 63..34 | id: bits 33..2 | state: bits 1..0 (EMPTY / BUSY / FULL) |
+//! ```
 //!
-//! The one wait in the structure: a thread that loses a same-key race
-//! spins until the winner publishes its id (typically a handful of
-//! cycles: the winner is between its claim CAS and one release store).
-//! This mirrors the segment-allocation wait the growable store already
-//! has — the operations are lock-free in aggregate, not wait-free, which
-//! is the paper's own caveat for unbounded universes.
+//! The tag is the hash's low 30 bits, disjoint from the shard bits, so a
+//! probe skips other keys' slots without touching key storage. The keys
+//! live in an append-only arena of `OnceLock<K>` cells indexed by id; ids
+//! made directly through [`dsu().make_set()`](crate::GrowableDsu::make_set)
+//! have no key, and no slot names them. Entries **never move or rehash**:
+//! growth allocates a fresh segment (counted as
+//! [`id_table_resizes`](crate::OpStats::id_table_resizes)).
 //!
-//! # Batched resolution
+//! A key's probe path is fixed: **one** hashed bucket per segment, in
+//! segment order, and the eight words of each bucket in order — one cache
+//! line (one probe step) per allocated segment. Inserts claim the **first
+//! `EMPTY` word** on the path with a CAS.
 //!
-//! [`merge_keys_batch`](KeyedDsu::merge_keys_batch) resolves a burst of
-//! key pairs to dense ids in one gather pass (hashing and probing are
-//! independent per key — exactly the memory-level-parallelism shape the
-//! `bulk` module exploits for parent words), then routes
-//! the resolved edge list through [`unite_batch`], so keyed ingestion
-//! inherits the measured batch win instead of re-deriving it.
-//! [`same_set_batch`](KeyedDsu::same_set_batch) resolves without
-//! inserting and answers queries on the packed core.
+//! **Why one key never gets two ids.** A word only goes from `EMPTY` to
+//! occupied, and its tag is fixed by its claim. Suppose inserts A and B of
+//! one key claim path positions `i < j`. B passed `i`, so it saw `i`
+//! occupied (by a load or its own failed CAS) by a different tag, or by a
+//! matching tag that it waited out to `FULL` and whose key differed.
+//! Occupancy is permanent, so `i` holds that other key forever. But A's
+//! CAS at `i` found it `EMPTY`, after which it holds A's key — B's key —
+//! forever: a contradiction. So at most one claim per key, and every
+//! resolver converges on the winner's id. The winner fills the arena cell
+//! before its release store of `FULL`, so a reader whose acquire load sees
+//! `FULL` finds the key. Stress-tested in `tests/keyed_semantics.rs`.
+//!
+//! The one wait: a thread that meets a `BUSY` word with its tag spins
+//! while the winner runs between its claim CAS and its release store. The
+//! operations are lock-free in aggregate, not wait-free — the paper's own
+//! caveat for unbounded universes.
+//!
+//! # Pipelined resolution
+//!
+//! [`merge_keys_batch`](KeyedDsu::merge_keys_batch) and
+//! [`same_set_batch`](KeyedDsu::same_set_batch) first hash the whole
+//! burst, then resolve key `i` while issuing read hints for the path
+//! buckets of key `i + 8`, so the cache misses of several keys overlap.
+//! The per-key entry points run the same routine as a batch of one.
+//! Batched merges then route the dense edges through [`unite_batch`]'s
+//! waves (honoring `DSU_BATCH_PLAN`, like every count-only batch path).
 //!
 //! # When to use which layer
 //!
@@ -65,73 +68,64 @@
 //! | dense, created on the fly | [`GrowableDsu`] |
 //! | strings, sparse u64s, uuids, row keys | [`KeyedDsu`] |
 //!
-//! The keyed layer costs one hash + a short probe per key touch on top of
-//! the underlying operation; the `keyed_ab` example measures it against
-//! the lock-based facade it replaces (see `docs/benchmarks.md`).
-//!
 //! [`unite_batch`]: crate::GrowableDsu::unite_batch
 
-use std::cell::UnsafeCell;
 use std::hash::{Hash, Hasher};
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::OnceLock;
 
 use crate::bulk;
 use crate::find::{FindPolicy, TwoTrySplit};
-use crate::growable::{GrowableDsu, GrowableStore};
+use crate::growable::{locate, GrowableDsu, GrowableStore};
 use crate::order::splitmix64;
 use crate::stats::{ShardSkew, StatsSink};
-use crate::store::ShardSpec;
+use crate::store::{prefetch_read, ShardSpec};
 
-/// Slot states, kept in the low bits of `Slot::meta`; the rest of the word
-/// is the key's hash tag, so probes skip non-matching slots without
-/// touching key storage.
+/// Slot states, in the low bits of a slot word.
 const STATUS_MASK: u64 = 0b11;
 const EMPTY: u64 = 0;
 const BUSY: u64 = 0b01;
 const FULL: u64 = 0b10;
+/// The id field sits above the state; the tag fills the rest of the word.
+const ID_SHIFT: u32 = 2;
+const TAG_SHIFT: u32 = ID_SHIFT + u32::BITS;
+const TAG_MASK: u64 = !0 << TAG_SHIFT;
 
-/// log2 of the first segment's slot count per shard.
-///
-/// Each key has exactly **one** candidate slot per segment (no linear
-/// window): early segments saturate under load, and a multi-slot window
-/// would make every later operation scan those full windows end to end —
-/// measured at >100 wasted probes per op at a few ten-thousand keys. With
-/// one candidate per segment the whole probe path is one load per
-/// *allocated* segment (~log₂ of the key count), at the cost of segments
-/// cascading to the next doubling a little before 100% fill.
-const BASE_BITS: u32 = 8;
+/// Slots per bucket: eight words, one 64-byte cache line.
+const BUCKET: usize = 8;
+/// log2 of the first segment's bucket count per shard (32 buckets = 256
+/// slots); each later segment has four times the buckets of the one before.
+const BASE_BUCKET_BITS: u32 = 5;
+/// Maximum segments per shard; the last one alone would hold 2^38 slots.
+const KEY_SEGMENTS: usize = 16;
+/// How many keys ahead of the one being resolved the pipeline prefetches.
+const LOOKAHEAD: usize = 8;
 
-/// Maximum doubling segments per shard (the first has `2^BASE_BITS` slots;
-/// 48 more than covers any addressable key count).
-const KEY_SEGMENTS: usize = 48;
-
-/// One id-table slot: a tagged state word, the dense id, and inline key
-/// storage written exactly once (by the claim winner, before `meta` is
-/// released to `FULL`).
-struct Slot<K> {
-    meta: AtomicU64,
-    id: AtomicUsize,
-    key: UnsafeCell<MaybeUninit<K>>,
-}
-
-impl<K> Slot<K> {
-    fn new() -> Self {
-        Slot {
-            meta: AtomicU64::new(EMPTY),
-            id: AtomicUsize::new(0),
-            key: UnsafeCell::new(MaybeUninit::uninit()),
-        }
+/// One odd multiplier per segment for the multiply-shift bucket hash, so a
+/// key's buckets in different segments are chosen independently.
+const MULTIPLIERS: [u64; KEY_SEGMENTS] = {
+    let mut m = [0; KEY_SEGMENTS];
+    let mut s = 0;
+    while s < KEY_SEGMENTS {
+        m[s] = splitmix64(s as u64) | 1;
+        s += 1;
     }
-}
+    m
+};
 
-/// One shard of the id table: a directory of doubling open-addressed
-/// segments plus its local bookkeeping, padded so neighboring shards'
-/// headers never share a cache line.
+/// Eight slot words sharing one cache line.
+#[derive(Default)]
+#[repr(align(64))]
+struct Bucket([AtomicU64; BUCKET]);
+
+/// One shard of the id table: a directory of ×4 segments of buckets plus
+/// its local bookkeeping, padded so neighboring shards' headers never
+/// share a cache line.
+#[derive(Default)]
 #[repr(align(128))]
-struct KeyShard<K> {
-    segments: [OnceLock<Box<[Slot<K>]>>; KEY_SEGMENTS],
+struct KeyShard {
+    segments: [OnceLock<Box<[Bucket]>>; KEY_SEGMENTS],
     /// Published keys in this shard (incremented by claim winners after
     /// their release store, so it may momentarily trail a racing reader's
     /// view — a report counter, not a synchronization point).
@@ -140,50 +134,80 @@ struct KeyShard<K> {
     resizes: AtomicUsize,
 }
 
-// SAFETY: the only non-Sync field is the `UnsafeCell<MaybeUninit<K>>` in
-// each slot. It is written exactly once, by the thread whose CAS moved the
-// slot's `meta` from EMPTY to BUSY (unique by CAS), strictly before the
-// release store of FULL; every read happens after an acquire load observes
-// FULL and treats the key as immutable from then on. So all access is
-// either exclusive (the claim winner, pre-publication) or shared read-only
-// (post-publication), which is exactly the `Sync` contract for `K: Sync`;
-// `K: Send` is required because drop happens on whatever thread drops the
-// table.
-unsafe impl<K: Send + Sync> Sync for KeyShard<K> {}
-
-impl<K> KeyShard<K> {
+impl KeyShard {
     fn new() -> Self {
-        KeyShard {
-            segments: std::array::from_fn(|_| OnceLock::new()),
-            keys: AtomicUsize::new(0),
-            resizes: AtomicUsize::new(0),
+        let shard = KeyShard::default();
+        // Pre-allocate the first segment: the common case never pays the
+        // directory's OnceLock initialization race, and `id_table_resizes`
+        // cleanly means "growth", not "first touch".
+        shard.segments[0].get_or_init(|| Self::alloc_segment(0));
+        shard
+    }
+
+    fn alloc_segment(s: usize) -> Box<[Bucket]> {
+        std::iter::repeat_with(Bucket::default)
+            .take(1 << (BASE_BUCKET_BITS as usize + 2 * s))
+            .collect()
+    }
+
+    /// Segment `s`, allocating it if no other thread has (inserts only).
+    #[cold]
+    fn grow<Sk: StatsSink>(&self, s: usize, stats: &mut Sk) -> &[Bucket] {
+        let mut allocated = false;
+        let seg = self.segments[s].get_or_init(|| {
+            allocated = true;
+            Self::alloc_segment(s)
+        });
+        if allocated {
+            self.resizes.fetch_add(1, Relaxed);
+            stats.id_table_resize();
+        }
+        seg
+    }
+
+    /// The bucket of segment `s` on the probe path of hash `h`.
+    #[inline]
+    fn bucket(seg: &[Bucket], s: usize, h: u64) -> &Bucket {
+        let bits = BASE_BUCKET_BITS + 2 * s as u32;
+        &seg[(h.wrapping_mul(MULTIPLIERS[s]) >> (64 - bits)) as usize]
+    }
+
+    /// Read hints for every allocated bucket on the path of hash `h`.
+    #[inline]
+    fn prefetch_path(&self, h: u64) {
+        for (s, seg) in self.segments.iter().map_while(OnceLock::get).enumerate() {
+            prefetch_read(Self::bucket(seg, s, h));
         }
     }
 }
 
-impl<K> Drop for KeyShard<K> {
-    fn drop(&mut self) {
-        for seg in &mut self.segments {
-            if let Some(slots) = seg.get_mut() {
-                for slot in slots.iter_mut() {
-                    // &mut self: no concurrent claimers, so BUSY is
-                    // impossible and FULL keys are fully initialized.
-                    if slot.meta.load(Ordering::Relaxed) & STATUS_MASK == FULL {
-                        // SAFETY: FULL ⇒ the key was written and published;
-                        // exclusive access ⇒ nobody reads it after this.
-                        unsafe { (*slot.key.get()).assume_init_drop() };
-                    }
-                }
-            }
-        }
+/// Keys by dense id: an append-only directory of doubling segments of
+/// write-once cells (segment `s` holds ids `2^s - 1 ..= 2^(s+1) - 2`, so
+/// 32 segments cover every id below `u32::MAX`).
+struct KeyArena<K> {
+    segments: [OnceLock<Box<[OnceLock<K>]>>; u32::BITS as usize],
+}
+
+impl<K> KeyArena<K> {
+    /// Stores the key of a freshly made id. Only the id's claim winner
+    /// calls this, once.
+    fn set(&self, id: usize, key: K) {
+        let (s, off) = locate(id);
+        let seg = self.segments[s]
+            .get_or_init(|| std::iter::repeat_with(OnceLock::new).take(1 << s).collect());
+        assert!(seg[off].set(key).is_ok(), "id {id} was given a key twice");
+    }
+
+    fn get(&self, id: usize) -> Option<&K> {
+        let (s, off) = locate(id);
+        self.segments[s].get()?[off].get()
     }
 }
 
 /// A concurrent union-find over **arbitrary hashable keys**: a lock-free
 /// sharded id table in front of a [`GrowableDsu`].
 ///
-/// This is the deployment shape of every real entity-resolution consumer:
-/// records arrive identified by row keys, uuids, or sparse 64-bit ids, get
+/// Records arrive identified by row keys, uuids, or sparse 64-bit ids, get
 /// mapped to dense indices exactly once, and all merge/query traffic runs
 /// on the packed parent-word core. See the [module docs](self) for the id
 /// table's design and the race-freedom argument.
@@ -206,8 +230,8 @@ impl<K> Drop for KeyShard<K> {
 /// assert_eq!(dsu.key_count(), 2);
 /// ```
 ///
-/// Batched ingestion resolves keys in a gather pass and routes the dense
-/// edges through the batch waves:
+/// Batched ingestion resolves a burst of keys in one pipelined pass and
+/// routes the dense edges through the batch waves:
 ///
 /// ```
 /// use concurrent_dsu::KeyedDsu;
@@ -222,7 +246,8 @@ impl<K> Drop for KeyShard<K> {
 pub struct KeyedDsu<K, F: FindPolicy = TwoTrySplit, S: GrowableStore = crate::DefaultGrowableStore>
 {
     dsu: GrowableDsu<F, S>,
-    shards: Box<[KeyShard<K>]>,
+    shards: Box<[KeyShard]>,
+    keys: KeyArena<K>,
     shard_bits: u32,
     salt: u64,
 }
@@ -288,19 +313,13 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
     /// such as a [`ShardedSegmentedStore`](crate::ShardedSegmentedStore)
     /// with its own [`ShardSpec`].
     pub fn from_store(store: S, seed: u64, spec: ShardSpec) -> Self {
-        let shards: Box<[KeyShard<K>]> = (0..spec.shards()).map(|_| KeyShard::new()).collect();
-        // Pre-allocate every shard's first segment: the common case never
-        // pays the directory's OnceLock initialization race, and
-        // `id_table_resizes` cleanly means "growth", not "first touch".
-        for shard in shards.iter() {
-            let _ = shard.segments[0].get_or_init(|| Self::alloc_segment(0));
+        KeyedDsu {
+            dsu: GrowableDsu::from_store(store),
+            shards: (0..spec.shards()).map(|_| KeyShard::new()).collect(),
+            keys: KeyArena { segments: Default::default() },
+            shard_bits: spec.shards().trailing_zeros(),
+            salt: seed,
         }
-        let shard_bits = spec.shards().trailing_zeros();
-        KeyedDsu { dsu: GrowableDsu::from_store(store), shards, shard_bits, salt: seed }
-    }
-
-    fn alloc_segment(s: usize) -> Box<[Slot<K>]> {
-        (0..1usize << (BASE_BITS as usize + s)).map(|_| Slot::new()).collect()
     }
 
     /// The seeded 64-bit hash all table geometry derives from.
@@ -312,130 +331,107 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
     }
 
     #[inline]
-    fn shard_of(&self, h: u64) -> usize {
-        if self.shard_bits == 0 {
-            0
-        } else {
-            (h >> (64 - self.shard_bits)) as usize
-        }
+    fn shard(&self, h: u64) -> &KeyShard {
+        // `checked_shr` maps the single-shard case (a 64-bit shift) to 0.
+        &self.shards[h.checked_shr(64 - self.shard_bits).unwrap_or(0) as usize]
     }
 
-    /// Resolves `key` to its dense id, inserting (when `insert_key` is
-    /// `Some`) or answering `None` on a miss.
-    ///
-    /// The probe path is the same deterministic slot sequence for every
-    /// thread: **one** hashed candidate slot per segment, in segment order
-    /// (one candidate, not a window — see the note on [`BASE_BITS`]).
-    /// **Why the same key can never claim two slots:** slots move only
-    /// from empty to occupied, and a claim is a CAS on the *first empty
-    /// slot of the path*. Suppose inserts A and B of one key both claim,
-    /// at path positions `i < j`. B claimed at `j`, so B observed position
-    /// `i` occupied — and since occupancy is permanent, `i` is occupied by
-    /// the same entry forever. That entry carries either B's key (then B
-    /// adopts it and never claims, a contradiction) or a different key —
-    /// but A's successful CAS at `i` means `i` was *empty* when A claimed,
-    /// after which it holds A's key forever, contradicting "a different
-    /// key". So at most one claim per key, and every resolver converges on
-    /// the winner's id.
+    /// Resolves `key`, whose hash is `h`, to its dense id: walks the probe
+    /// path and either finds the key, claims the first `EMPTY` word with a
+    /// fresh id and the key made by `claim`, or (lookups, `claim == None`)
+    /// answers `None` at the first `EMPTY` word. See the module docs for
+    /// why a key never gets two ids.
     fn resolve<Sk: StatsSink>(
         &self,
         key: &K,
-        insert_key: Option<&dyn Fn() -> K>,
+        h: u64,
+        claim: Option<fn(&K) -> K>,
         stats: &mut Sk,
     ) -> Option<usize> {
-        let h = self.hash_key(key);
-        let shard = &self.shards[self.shard_of(h)];
-        let tag = h & !STATUS_MASK;
-        let mut probes = 0usize;
+        let shard = self.shard(h);
+        let tag = h << TAG_SHIFT;
         for s in 0..KEY_SEGMENTS {
-            let seg = match shard.segments[s].get() {
-                Some(seg) => seg,
-                None if insert_key.is_some() => {
-                    let mut allocated = false;
-                    let seg = shard.segments[s].get_or_init(|| {
-                        allocated = true;
-                        Self::alloc_segment(s)
-                    });
-                    if allocated {
-                        shard.resizes.fetch_add(1, Ordering::Relaxed);
-                        stats.id_table_resize();
-                    }
-                    seg
-                }
+            let seg = match (shard.segments[s].get(), claim) {
+                (Some(seg), _) => seg,
+                (None, Some(_)) => shard.grow(s, stats),
                 // Lookup-only: an unallocated segment cannot hold the key,
                 // and later segments only exist if this one does — miss.
-                None => {
-                    stats.key_probe_steps(probes);
+                (None, None) => {
+                    stats.key_probe_steps(s);
                     return None;
                 }
             };
-            let slot = &seg[splitmix64(h ^ s as u64) as usize & (seg.len() - 1)];
-            probes += 1;
-            loop {
-                let meta = slot.meta.load(Ordering::Acquire);
-                if meta == EMPTY {
-                    let Some(make_key) = insert_key else {
-                        // A completed insert would have claimed this slot
-                        // or an earlier one on the path: miss.
-                        stats.key_probe_steps(probes);
-                        return None;
-                    };
-                    if slot
-                        .meta
-                        .compare_exchange(EMPTY, tag | BUSY, Ordering::Acquire, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        // Claim won: this thread owns the slot's key cell
-                        // until the release store below.
-                        // SAFETY: exclusive by the CAS; see KeyShard's
-                        // Sync justification.
-                        unsafe { (*slot.key.get()).write(make_key()) };
-                        let id = self.dsu.make_set();
-                        slot.id.store(id, Ordering::Relaxed);
-                        slot.meta.store(tag | FULL, Ordering::Release);
-                        shard.keys.fetch_add(1, Ordering::Relaxed);
-                        stats.key_inserted();
-                        stats.key_probe_steps(probes);
-                        return Some(id);
-                    }
-                    // Someone claimed this slot first — re-examine it: it
-                    // may be carrying this very key.
-                    continue;
-                }
-                if meta & !STATUS_MASK == tag {
-                    if meta & STATUS_MASK == BUSY {
+            for slot in &KeyShard::bucket(seg, s, h).0 {
+                let word = loop {
+                    let word = slot.load(Acquire);
+                    match word & STATUS_MASK {
+                        EMPTY => {
+                            let Some(make_key) = claim else {
+                                // A completed insert would have claimed this
+                                // word or an earlier one on the path: miss.
+                                stats.key_probe_steps(s + 1);
+                                return None;
+                            };
+                            if slot.compare_exchange(EMPTY, tag | BUSY, Acquire, Relaxed).is_ok() {
+                                let id = self.dsu.make_set();
+                                assert!(id < u32::MAX as usize, "KeyedDsu ids fit in 32 bits");
+                                self.keys.set(id, make_key(key));
+                                slot.store(tag | (id as u64) << ID_SHIFT | FULL, Release);
+                                shard.keys.fetch_add(1, Relaxed);
+                                stats.key_inserted();
+                                stats.key_probe_steps(s + 1);
+                                return Some(id);
+                            }
+                            // Lost the claim: re-read the word, it may
+                            // carry this very key.
+                        }
                         // A matching claim is between its CAS and its
                         // release store — the structure's one wait.
-                        std::hint::spin_loop();
-                        continue;
+                        BUSY if word & TAG_MASK == tag => std::hint::spin_loop(),
+                        _ => break word,
                     }
-                    // FULL with a matching tag: the acquire load above
-                    // synchronized with the winner's release store, so
-                    // the key cell is initialized and immutable.
-                    // SAFETY: published ⇒ read-only; see KeyShard.
-                    let stored = unsafe { (*slot.key.get()).assume_init_ref() };
-                    if stored == key {
-                        stats.key_probe_steps(probes);
-                        return Some(slot.id.load(Ordering::Relaxed));
-                    }
+                };
+                // FULL with a matching tag: the acquire load synchronized
+                // with the winner's release store, so the arena cell is set.
+                let id = (word >> ID_SHIFT) as u32 as usize;
+                if word & TAG_MASK == tag && self.keys.get(id) == Some(key) {
+                    stats.key_probe_steps(s + 1);
+                    return Some(id);
                 }
-                // Occupied by a different key (or a colliding tag): next
-                // segment on the path.
-                break;
             }
         }
-        // A lookup that walked every allocated segment without meeting an
-        // empty slot simply missed; only an *insert* that failed to claim
-        // anywhere in 48 doubling segments indicates a broken table.
-        if insert_key.is_none() {
-            stats.key_probe_steps(probes);
-            return None;
-        }
-        panic!(
-            "KeyedDsu id table exhausted all {KEY_SEGMENTS} doubling segments in one shard — \
-             astronomically unlikely under any honest Hash implementation; check the key type's \
-             Hash for degenerate output"
+        // Only an *insert* that found no empty word in any segment
+        // indicates a broken table; a lookup simply missed.
+        assert!(
+            claim.is_none(),
+            "KeyedDsu id table exhausted all {KEY_SEGMENTS} segments in one shard; check the key \
+             type's Hash for degenerate output"
         );
+        stats.key_probe_steps(KEY_SEGMENTS);
+        None
+    }
+
+    /// The pipeline behind the batch paths: hashes every key of the burst
+    /// (`a`, `b` of each pair in order), then resolves key `i` while
+    /// issuing read hints for the path buckets of key `i + LOOKAHEAD`.
+    fn resolve_pairs<Sk: StatsSink>(
+        &self,
+        pairs: &[(K, K)],
+        claim: Option<fn(&K) -> K>,
+        stats: &mut Sk,
+    ) -> Vec<Option<usize>> {
+        let hashed: Vec<(&K, u64)> =
+            pairs.iter().flat_map(|(a, b)| [a, b]).map(|k| (k, self.hash_key(k))).collect();
+        hashed
+            .iter()
+            .enumerate()
+            .map(|(i, &(key, h))| {
+                if let Some(&(_, ahead)) = hashed.get(i + LOOKAHEAD) {
+                    self.shard(ahead).prefetch_path(ahead);
+                }
+                self.resolve(key, h, claim, stats)
+            })
+            .collect()
     }
 
     /// Maps `key` to its dense id, inserting it as a fresh singleton if
@@ -456,8 +452,8 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
     where
         K: Clone,
     {
-        let make = || key.clone();
-        self.resolve(key, Some(&make), stats).expect("insert always resolves")
+        self.resolve(key, self.hash_key(key), Some(K::clone), stats)
+            .expect("insert always resolves")
     }
 
     /// The dense id of `key`, or `None` if it was never inserted. Never
@@ -468,7 +464,7 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
 
     /// [`get`](KeyedDsu::get) reporting probe work into `stats`.
     pub fn get_with<Sk: StatsSink>(&self, key: &K, stats: &mut Sk) -> Option<usize> {
-        self.resolve(key, None, stats)
+        self.resolve(key, self.hash_key(key), None, stats)
     }
 
     /// Unites the sets containing `a` and `b`, inserting unseen keys as
@@ -501,8 +497,14 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
 
     /// [`same_set`](KeyedDsu::same_set) reporting work into `stats`.
     pub fn same_set_with<Sk: StatsSink>(&self, a: &K, b: &K, stats: &mut Sk) -> bool {
-        match (self.resolve(a, None, stats), self.resolve(b, None, stats)) {
-            (Some(ia), Some(ib)) => self.dsu.same_set_with(ia, ib, stats),
+        let ids = [self.get_with(a, stats), self.get_with(b, stats)];
+        self.verdict(a, b, &ids, stats)
+    }
+
+    /// A query's verdict from its resolved ids.
+    fn verdict<Sk: StatsSink>(&self, a: &K, b: &K, ids: &[Option<usize>], stats: &mut Sk) -> bool {
+        match *ids {
+            [Some(ia), Some(ib)] => self.dsu.same_set_with(ia, ib, stats),
             // At most one key exists: same set exactly when both name the
             // same implicit singleton.
             _ => a == b,
@@ -510,11 +512,10 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
     }
 
     /// Batched [`merge_keys`](KeyedDsu::merge_keys): resolves every key of
-    /// the burst to a dense id in a gather pass (inserting unseen keys),
-    /// then routes the resolved edge list through the batch ingestion
-    /// waves (`bulk`). Returns the number of edges that
-    /// performed a link. Honors the `DSU_BATCH_PLAN` environment variable
-    /// like every count-only batch entry point.
+    /// the burst to a dense id in one pipelined pass (inserting unseen
+    /// keys), then routes the resolved edge list through the batch
+    /// ingestion waves (`bulk`). Returns the number of edges that
+    /// performed a link.
     pub fn merge_keys_batch(&self, pairs: &[(K, K)]) -> usize
     where
         K: Clone,
@@ -529,12 +530,15 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
     where
         K: Clone,
     {
-        let edges = self.resolve_pairs(pairs, stats);
+        let ids = self.resolve_pairs(pairs, Some(K::clone), stats);
+        let resolved = |id: Option<usize>| id.expect("inserts always resolve");
+        let edges: Vec<(usize, usize)> =
+            ids.chunks_exact(2).map(|p| (resolved(p[0]), resolved(p[1]))).collect();
         self.dsu.unite_batch_tuned_with(&edges, bulk::runtime_default_tuning(), None, stats)
     }
 
     /// Batched [`same_set`](KeyedDsu::same_set): one verdict per pair,
-    /// resolved without inserting.
+    /// resolved in one pipelined pass without inserting.
     pub fn same_set_batch(&self, pairs: &[(K, K)]) -> Vec<bool> {
         self.same_set_batch_with(pairs, &mut ())
     }
@@ -546,25 +550,17 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
         pairs: &[(K, K)],
         stats: &mut Sk,
     ) -> Vec<bool> {
-        pairs.iter().map(|(a, b)| self.same_set_with(a, b, stats)).collect()
-    }
-
-    /// The gather pass of the batch paths: every key resolved (inserting)
-    /// before any parent word is touched, so the subsequent waves run on a
-    /// plain dense edge list.
-    fn resolve_pairs<Sk: StatsSink>(&self, pairs: &[(K, K)], stats: &mut Sk) -> Vec<(usize, usize)>
-    where
-        K: Clone,
-    {
+        let ids = self.resolve_pairs(pairs, None, stats);
         pairs
             .iter()
-            .map(|(a, b)| (self.insert_with(a, stats), self.insert_with(b, stats)))
+            .zip(ids.chunks_exact(2))
+            .map(|((a, b), p)| self.verdict(a, b, p, stats))
             .collect()
     }
 
     /// Number of distinct keys inserted so far.
     pub fn key_count(&self) -> usize {
-        self.shards.iter().map(|s| s.keys.load(Ordering::Relaxed)).sum()
+        self.shards.iter().map(|s| s.keys.load(Relaxed)).sum()
     }
 
     /// `true` before the first insert.
@@ -583,18 +579,18 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
         self.shards.len()
     }
 
-    /// Total open-addressing segments allocated after construction,
-    /// summed over shards — the table-growth half of
+    /// Total id-table segments allocated after construction, summed over
+    /// shards — the table-growth half of
     /// [`OpStats::id_table_resizes`](crate::OpStats::id_table_resizes),
     /// readable at quiescence without a sink.
     pub fn id_table_resizes(&self) -> usize {
-        self.shards.iter().map(|s| s.resizes.load(Ordering::Relaxed)).sum()
+        self.shards.iter().map(|s| s.resizes.load(Relaxed)).sum()
     }
 
     /// How evenly keys spread across the id-table shards (uniform hash ⇒
     /// imbalance near 1.0; a hot shard means a degenerate `Hash`).
     pub fn key_skew(&self) -> ShardSkew {
-        ShardSkew::from_counts(self.shards.iter().map(|s| s.keys.load(Ordering::Relaxed) as u64))
+        ShardSkew::from_counts(self.shards.iter().map(|s| s.keys.load(Relaxed) as u64))
     }
 
     /// The underlying dense-id structure. Ids returned by
@@ -675,8 +671,8 @@ mod tests {
         }
         assert_eq!(stats.keys_inserted, 500);
         assert!(stats.key_probe_steps >= 500, "every resolve probes at least once");
-        // 500 keys over 2 shards × 256 base slots with one candidate per
-        // segment must have cascaded into fresh segments.
+        // 500 keys over 2 shards × 32 base buckets of 8 slots must have
+        // overflowed some bucket into a fresh segment.
         assert!(stats.id_table_resizes > 0);
         assert_eq!(stats.id_table_resizes as usize, dsu.id_table_resizes());
         let mut lookups = OpStats::default();
@@ -691,10 +687,9 @@ mod tests {
     #[test]
     fn absent_lookups_miss_cleanly_at_any_fill() {
         // Regression: a miss whose probe path runs past the last allocated
-        // segment (or through 48 full windows) must return None, not
-        // panic. Fill a single-shard table well past segment 0 so absent
-        // probes regularly traverse full windows and hit the unallocated
-        // tail.
+        // segment (or through full buckets) must return None, not panic.
+        // Fill a single-shard table well past segment 0 so absent probes
+        // regularly traverse full buckets and hit the unallocated tail.
         let dsu: KeyedDsu<String> = KeyedDsu::with_spec(9, ShardSpec::with_shards(1));
         for i in 0..2_000 {
             dsu.insert(&format!("present-{i}"));
@@ -704,6 +699,29 @@ mod tests {
             assert!(!dsu.same_set(&format!("absent-{i}"), &"present-0".to_string()));
         }
         assert_eq!(dsu.key_count(), 2_000);
+    }
+
+    #[test]
+    fn colliding_hashes_still_resolve_by_key() {
+        // Every key hashes alike: one probe path, one tag. Matching tags
+        // must fall through to the key comparison and on to the next word
+        // (40 keys fill the one bucket of each of the first 5 segments).
+        #[derive(Clone, PartialEq, Eq)]
+        struct Collide(u32);
+        impl Hash for Collide {
+            fn hash<H: Hasher>(&self, h: &mut H) {
+                7u8.hash(h);
+            }
+        }
+        let dsu: KeyedDsu<Collide> = KeyedDsu::with_spec(1, ShardSpec::with_shards(1));
+        let ids: Vec<usize> = (0..40).map(|i| dsu.insert(&Collide(i))).collect();
+        assert_eq!(ids, (0..40).collect::<Vec<_>>(), "each key claims its own word");
+        for i in 0..40 {
+            assert_eq!(dsu.get(&Collide(i)), Some(i as usize));
+        }
+        assert_eq!(dsu.get(&Collide(40)), None);
+        let raw = dsu.dsu().make_set();
+        assert!((0..=40).all(|i| dsu.get(&Collide(i)) != Some(raw)), "key-less ids never match");
     }
 
     #[test]

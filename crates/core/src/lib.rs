@@ -170,7 +170,7 @@
 //! | variable | read by | meaning |
 //! |---|---|---|
 //! | `DSU_SHARDS` | [`ShardSpec::auto`] (used by [`ShardedStore`] / [`ShardedSegmentedStore`]) | shard count for the sharded parent stores; rounded to a power of two, clamped to 256. Default: `available_parallelism` |
-//! | `DSU_KEY_SHARDS` | [`KeyedDsu::new`] / [`KeyedDsu::with_seed`] | shard count for the keyed id table (same rounding). More shards shorten probe paths and spread claim traffic at the cost of base-segment memory. Default: `available_parallelism` |
+//! | `DSU_KEY_SHARDS` | [`KeyedDsu::new`] / [`KeyedDsu::with_seed`] | shard count for the keyed id table (same rounding). Each shard starts with one 256-slot segment (2 KiB: 32 buckets of eight one-word slots) and grows ×4; more shards shorten probe paths and spread claim traffic at the cost of that base memory. Default: `available_parallelism` |
 //! | `DSU_CACHE_SLOTS` | `RootCache::default` | slot count of a hot-root cache session's direct-mapped table. Default: [`RootCache::DEFAULT_CAPACITY`] (512, 8 KB — L1-resident) |
 //! | `DSU_BATCH_PLAN` | [`bulk::runtime_default_tuning`] | set to `1`/`true` to route count-only batch entry points through the ingestion planner ([`ingest`]); verdict-returning paths are unaffected. Default: off |
 //! | `DSU_FAULT_SEED` | [`FaultPlan::from_env`] | seed for the fault-injection plan a [`FaultyStore`] runs; only consulted by fault-test binaries that opt in. Default: 0 |
@@ -183,8 +183,7 @@
 //! sequentially consistent orderings crate-wide; the `default-store-flat`
 //! / `default-store-sharded` features retarget [`DefaultStore`] /
 //! [`DefaultGrowableStore`]; `default-link-index` retargets
-//! [`DefaultLink`] from the paper's randomized linking to index linking;
-//! `prefetch` compiles software-prefetch intrinsics into the gather waves.
+//! [`DefaultLink`] from the paper's randomized linking to index linking.
 
 pub mod bulk;
 pub mod cache;

@@ -121,7 +121,7 @@ impl IdOrder for HashOrder {
 /// SplitMix64: a fast, well-distributed 64-bit mixing function (Steele,
 /// Lea & Flood 2014). Used to give growable elements i.i.d.-looking ids
 /// without storing them.
-pub fn splitmix64(mut z: u64) -> u64 {
+pub const fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

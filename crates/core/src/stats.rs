@@ -48,10 +48,6 @@ pub trait StatsSink {
     /// demoted or re-parented since it was recorded): the entry is dropped
     /// and the find falls back to the normal walk.
     fn cache_stale(&mut self) {}
-    /// A batch gather wave issued software prefetches for the *next* wave's
-    /// endpoint words (only counted when the `prefetch` feature compiled
-    /// the intrinsics in; see [`bulk`](crate::bulk)).
-    fn prefetch_wave(&mut self) {}
     /// The ingestion planner dropped `n` intra-batch duplicate edges
     /// before any parent word was read (see [`ingest`](crate::ingest));
     /// each dropped edge still starts one operation and reports a `false`
@@ -83,14 +79,15 @@ pub trait StatsSink {
     /// same-key race does *not* report this — exactly one per distinct
     /// key ever).
     fn key_inserted(&mut self) {}
-    /// A keyed resolution (insert or lookup) examined `n` id-table slots
-    /// before finding its key, claiming a slot, or concluding a miss —
-    /// the keyed layer's analogue of find-loop iterations.
+    /// A keyed resolution (insert or lookup) examined `n` id-table buckets
+    /// (one per segment on its path) before finding its key, claiming a
+    /// slot, or concluding a miss — the keyed layer's analogue of
+    /// find-loop iterations.
     fn key_probe_steps(&mut self, _n: usize) {}
-    /// A [`KeyedDsu`](crate::KeyedDsu) shard allocated a fresh
-    /// open-addressing segment because every probe window in the existing
-    /// ones was occupied — the keyed id table's growth event (doubling
-    /// segments; existing entries never move or rehash).
+    /// A [`KeyedDsu`](crate::KeyedDsu) shard allocated a fresh segment
+    /// because a key's bucket in every existing one was full — the keyed
+    /// id table's growth event (×4 segments; existing entries never move
+    /// or rehash).
     fn id_table_resize(&mut self) {}
     /// An auto-tuning dispatcher ([`TunedDsu`](crate::TunedDsu)) routed `n`
     /// operations through its sampling prefix — traffic that ran on the
@@ -164,8 +161,6 @@ impl StatsSink for () {
     fn cache_hit(&mut self) {}
     #[inline(always)]
     fn cache_stale(&mut self) {}
-    #[inline(always)]
-    fn prefetch_wave(&mut self) {}
     #[inline(always)]
     fn dup_edges_dropped(&mut self, _n: usize) {}
     #[inline(always)]
@@ -244,9 +239,6 @@ pub struct OpStats {
     /// Hot-root cache validations that failed (the cached root had been
     /// demoted; the entry was dropped and the walk fell back).
     pub cache_stale: u64,
-    /// Gather waves that issued software prefetches for the next wave
-    /// (nonzero only under the `prefetch` feature).
-    pub prefetch_waves: u64,
     /// Intra-batch duplicate edges the ingestion planner dropped before
     /// they touched the store (each still counted in `ops`, verdict
     /// `false`).
@@ -266,12 +258,12 @@ pub struct OpStats {
     /// Distinct keys inserted into a keyed id table (one per claim-winning
     /// insert; same-key races count once).
     pub keys_inserted: u64,
-    /// Id-table slots examined by keyed resolutions (the keyed layer's
+    /// Id-table buckets examined by keyed resolutions (the keyed layer's
     /// walk cost; compare against `reads` to see where a keyed workload
     /// spends its memory traffic).
     pub key_probe_steps: u64,
-    /// Open-addressing segments allocated by keyed id-table shards after
-    /// construction (doubling growth events; entries never move).
+    /// Segments allocated by keyed id-table shards after construction
+    /// (×4 growth events; entries never move).
     pub id_table_resizes: u64,
     /// Operations an auto-tuning dispatcher routed through its sampling
     /// prefix before deciding on a variant.
@@ -330,7 +322,6 @@ impl OpStats {
         self.links_fail += other.links_fail;
         self.cache_hits += other.cache_hits;
         self.cache_stale += other.cache_stale;
-        self.prefetch_waves += other.prefetch_waves;
         self.dup_edges_dropped += other.dup_edges_dropped;
         self.bucket_count += other.bucket_count;
         self.spill_edges += other.spill_edges;
@@ -408,10 +399,6 @@ impl StatsSink for OpStats {
     #[inline]
     fn cache_stale(&mut self) {
         self.cache_stale += 1;
-    }
-    #[inline]
-    fn prefetch_wave(&mut self) {
-        self.prefetch_waves += 1;
     }
     #[inline]
     fn dup_edges_dropped(&mut self, n: usize) {
@@ -584,25 +571,23 @@ mod tests {
     }
 
     #[test]
-    fn cache_and_prefetch_counters_count_and_merge() {
+    fn cache_counters_count_and_merge() {
         let mut a = OpStats::default();
         a.cache_hit();
         a.cache_hit();
         a.cache_stale();
-        a.prefetch_wave();
-        assert_eq!((a.cache_hits, a.cache_stale, a.prefetch_waves), (2, 1, 1));
+        assert_eq!((a.cache_hits, a.cache_stale), (2, 1));
         // Cache probes are plain loads already counted via read(); they do
         // not inflate the access totals on their own.
         assert_eq!(a.memory_accesses(), 0);
         let mut b = OpStats::default();
         b.cache_stale();
         b.merge(&a);
-        assert_eq!((b.cache_hits, b.cache_stale, b.prefetch_waves), (2, 2, 1));
+        assert_eq!((b.cache_hits, b.cache_stale), (2, 2));
         // The unit sink accepts the new events too.
         let mut unit = ();
         unit.cache_hit();
         unit.cache_stale();
-        unit.prefetch_wave();
     }
 
     #[test]

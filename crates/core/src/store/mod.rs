@@ -242,33 +242,26 @@ pub const fn strict_sc() -> bool {
     cfg!(feature = "strict-sc")
 }
 
-/// `true` when the `prefetch` feature compiled software-prefetch
-/// intrinsics into [`ParentStore::prefetch`] (x86-64 / AArch64 only; the
-/// method is a no-op everywhere else regardless of the feature).
-pub const fn prefetch_enabled() -> bool {
-    cfg!(all(feature = "prefetch", any(target_arch = "x86_64", target_arch = "aarch64")))
-}
-
 /// Read-intent software prefetch of the cache line holding `*p` — the
-/// primitive behind [`ParentStore::prefetch`]. Purely a hint: it never
-/// faults, never synchronizes, and compiles to nothing unless the
-/// `prefetch` feature is enabled on a target with an instruction for it
-/// (x86-64 `prefetcht0`, AArch64 `prfm pldl1keep`).
+/// hint the keyed id table's pipelined resolution issues for the buckets
+/// of keys it will resolve next. Purely a hint: it never faults and never
+/// synchronizes. x86-64 `prefetcht0`, AArch64 `prfm pldl1keep`; nothing on
+/// other targets.
 #[inline(always)]
 pub(crate) fn prefetch_read<T>(p: *const T) {
-    #[cfg(all(feature = "prefetch", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     // SAFETY: prefetch instructions are hints — they cannot fault even on
     // invalid addresses (the pointer here is in-bounds regardless).
     unsafe {
         core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p as *const i8)
     };
-    #[cfg(all(feature = "prefetch", target_arch = "aarch64"))]
+    #[cfg(target_arch = "aarch64")]
     // SAFETY: PRFM is a hint and cannot fault; the asm touches no state
     // beyond issuing it.
     unsafe {
         core::arch::asm!("prfm pldl1keep, [{0}]", in(reg) p, options(nostack, preserves_flags))
     };
-    #[cfg(not(all(feature = "prefetch", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
     let _ = p;
 }
 
@@ -367,16 +360,6 @@ pub trait ParentStore: Send + Sync {
     fn precedes(&self, u: usize, v: usize) -> bool {
         (self.priority(u, self.load_word(u)), u) < (self.priority(v, self.load_word(v)), v)
     }
-
-    /// Hints the hardware to pull element `i`'s parent word toward the
-    /// cache with read intent. Purely a performance hint with no memory
-    /// effects — the batch path issues it for the *next* gather wave's
-    /// endpoints while the current wave is being filtered, so the next
-    /// wave's loads hit. A no-op unless the crate is built with the
-    /// `prefetch` feature on a target with a prefetch instruction (see
-    /// [`prefetch_enabled`]). Like every other access, `i` must exist.
-    #[inline]
-    fn prefetch(&self, _i: usize) {}
 
     /// The union-by-rank rank carried by a word, consulted only by the
     /// [`RankLink`](crate::RankLink) policy. Layouts whose words carry no

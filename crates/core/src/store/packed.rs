@@ -118,11 +118,6 @@ impl ParentStore for PackedStore {
     fn priority(&self, _i: usize, w: u64) -> u64 {
         packed_id(w)
     }
-
-    #[inline]
-    fn prefetch(&self, i: usize) {
-        crate::store::prefetch_read(&self.words[i] as *const AtomicU64);
-    }
 }
 
 impl IdOrder for PackedStore {

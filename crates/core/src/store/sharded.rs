@@ -285,11 +285,6 @@ impl ParentStore for ShardedStore {
     fn priority(&self, _i: usize, w: u64) -> u64 {
         packed_id(w)
     }
-
-    #[inline]
-    fn prefetch(&self, i: usize) {
-        crate::store::prefetch_read(self.cell(i) as *const AtomicU64);
-    }
 }
 
 impl IdOrder for ShardedStore {
@@ -430,11 +425,6 @@ impl ParentStore for ShardedSegmentedStore {
     #[inline]
     fn priority(&self, _i: usize, w: u64) -> u64 {
         packed_id(w)
-    }
-
-    #[inline]
-    fn prefetch(&self, i: usize) {
-        crate::store::prefetch_read(self.cell(i) as *const AtomicU64);
     }
 }
 

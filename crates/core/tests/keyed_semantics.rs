@@ -13,12 +13,13 @@
 //! directly, including the insert-vs-merge race on the same unseen key.
 
 use concurrent_dsu::growable::GrowableStore;
+use concurrent_dsu::order::splitmix64;
 use concurrent_dsu::{
     KeyedDsu, PackedSegmentedStore, SegmentedStore, ShardSpec, ShardedSegmentedStore, TestWatchdog,
     TwoTrySplit,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 use std::time::Duration;
@@ -401,4 +402,118 @@ fn concurrent_growth_keeps_ids_unique() {
         seen[id] = true;
     }
     assert!(dsu.id_table_resizes() > 0, "this volume must have grown the table");
+}
+
+/// The batch pipeline under contention, across table growth: 4 threads
+/// race `merge_keys_batch` and `same_set_batch` round by round over one
+/// shared window of fresh string keys, while each thread also makes
+/// key-less ids through `dsu().make_set()`. Afterwards every distinct key
+/// has exactly one id, no key resolves to a key-less id, every `true`
+/// verdict holds, and the partition equals a sequential replay's.
+#[test]
+fn threaded_batches_across_growth_match_sequential_replay() {
+    let _wd = TestWatchdog::arm(
+        "threaded_batches_across_growth_match_sequential_replay",
+        Duration::from_secs(120),
+    );
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 160;
+    const WINDOW: usize = 128;
+    const MERGES: usize = 32;
+    const QUERIES: usize = 16;
+    let pick = |t: usize, r: usize, j: usize, salt: u64| {
+        splitmix64(((t * ROUNDS + r) * 1024 + j) as u64 ^ salt) as usize % WINDOW
+    };
+    // Thread t's merges in round r: pairs in the round's window, plus one
+    // edge back into the previous window so sets span rounds.
+    let merges = |t: usize, r: usize| -> Vec<(String, String)> {
+        (0..MERGES)
+            .map(|j| {
+                let a = r * WINDOW + pick(t, r, j, 1);
+                let b = if j == 0 && r > 0 { a - WINDOW } else { r * WINDOW + pick(t, r, j, 2) };
+                (key(a), key(b))
+            })
+            .collect()
+    };
+    // Its queries: window pairs, and every fourth one against a key no
+    // thread ever inserts.
+    let queries = |t: usize, r: usize| -> Vec<(String, String)> {
+        (0..QUERIES)
+            .map(|j| {
+                let a = key(r * WINDOW + pick(t, r, j, 3));
+                let b = if j % 4 == 0 {
+                    format!("absent-{t}-{r}-{j}")
+                } else {
+                    key(r * WINDOW + pick(t, r, j, 4))
+                };
+                (a, b)
+            })
+            .collect()
+    };
+    let dsu: KeyedDsu<String> = KeyedDsu::with_spec(31, ShardSpec::with_shards(2));
+    let barrier = Barrier::new(THREADS);
+    let results: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (dsu, barrier) = (&dsu, &barrier);
+                s.spawn(move || {
+                    let (mut raw, mut verdicts) = (Vec::new(), Vec::new());
+                    for r in 0..ROUNDS {
+                        let (m, q) = (merges(t, r), queries(t, r));
+                        barrier.wait();
+                        dsu.merge_keys_batch(&m);
+                        raw.push(dsu.dsu().make_set());
+                        verdicts.push(dsu.same_set_batch(&q));
+                    }
+                    (raw, verdicts)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+    });
+
+    let mut oracle = Oracle::default();
+    for t in 0..THREADS {
+        for r in 0..ROUNDS {
+            for (a, b) in merges(t, r) {
+                oracle.merge(&a, &b);
+            }
+        }
+    }
+    let raw: HashSet<usize> = results.iter().flat_map(|(raw, _)| raw.iter().copied()).collect();
+    assert_eq!(raw.len(), THREADS * ROUNDS, "make_set returned a duplicate id");
+    // Exactly one id per distinct key, none of them key-less.
+    assert_eq!(dsu.key_count(), oracle.ids.len());
+    assert_eq!(dsu.dsu().len(), oracle.ids.len() + raw.len());
+    let mut ids = HashSet::new();
+    for k in oracle.ids.keys() {
+        let id = dsu.get(k).expect("every merged key is present");
+        assert!(!raw.contains(&id), "{k} resolved to the key-less id {id}");
+        assert!(ids.insert(id), "{k} shares id {id} with another key");
+    }
+    assert!(dsu.id_table_resizes() >= 4, "the run must span several table growths");
+    // Every `true` verdict still holds (sets only grow); absent keys never
+    // matched anything.
+    for (t, (_, verdicts)) in results.iter().enumerate() {
+        for (r, v) in verdicts.iter().enumerate() {
+            for ((a, b), &same) in queries(t, r).iter().zip(v) {
+                assert!(!same || oracle.same_set(a, b), "thread {t} round {r}: ({a}, {b})");
+                if b.starts_with("absent") {
+                    assert!(!same, "an absent key matched {a}");
+                    assert_eq!(dsu.get(b), None);
+                }
+            }
+        }
+    }
+    // Final partition: the structure's roots and the replay's roots are in
+    // one-to-one correspondence over every key, and each key-less id is a
+    // singleton.
+    let (mut fwd, mut back) = (HashMap::new(), HashMap::new());
+    let entries: Vec<(String, usize)> = oracle.ids.iter().map(|(k, &id)| (k.clone(), id)).collect();
+    for (k, oid) in &entries {
+        let (root, oroot) = (dsu.dsu().find(dsu.get(k).expect("present")), oracle.find(*oid));
+        assert_eq!(*fwd.entry(root).or_insert(oroot), oroot, "{k}: replay split a set");
+        assert_eq!(*back.entry(oroot).or_insert(root), root, "{k}: replay merged two sets");
+    }
+    assert_eq!(dsu.set_count(), oracle.set_count() + raw.len());
 }

@@ -6,17 +6,20 @@
 
 use std::collections::BTreeMap;
 
-/// Parsed `--key value` pairs with typed, defaulted getters.
+/// Parsed `--key value` pairs with typed, defaulted getters. A `--key`
+/// followed by another `--token`, or by nothing, is a bare flag and reads
+/// as `true`.
 ///
 /// # Example
 ///
 /// ```
 /// use dsu_harness::Args;
 ///
-/// let args = Args::from_iter(["--n", "1024", "--quick", "true"]);
+/// let args = Args::from_iter(["--n", "1024", "--quick", "--threads", "1,2"]);
 /// assert_eq!(args.usize("n", 64), 1024);
 /// assert_eq!(args.usize("reps", 5), 5);
 /// assert!(args.flag("quick"));
+/// assert_eq!(args.thread_ladder(), vec![1, 2]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -28,8 +31,8 @@ impl Args {
     ///
     /// # Panics
     ///
-    /// Panics on malformed input (a `--key` without a value, or a bare
-    /// token), to fail fast on typos.
+    /// Panics on a bare token (one not following a `--key`), to fail fast
+    /// on typos.
     pub fn parse() -> Self {
         Self::from_iter(std::env::args().skip(1))
     }
@@ -48,13 +51,13 @@ impl Args {
         S: Into<String>,
     {
         let mut map = BTreeMap::new();
-        let mut it = tokens.into_iter().map(Into::into);
+        let mut it = tokens.into_iter().map(Into::into).peekable();
         while let Some(tok) = it.next() {
             let key = tok
                 .strip_prefix("--")
                 .unwrap_or_else(|| panic!("expected --key, got {tok:?}"))
                 .to_string();
-            let value = it.next().unwrap_or_else(|| panic!("missing value for --{key}"));
+            let value = it.next_if(|v| !v.starts_with("--")).unwrap_or_else(|| "true".into());
             map.insert(key, value);
         }
         Args { map }
@@ -98,7 +101,7 @@ impl Args {
         })
     }
 
-    /// Boolean flag: `--key true|1|yes` (absent ⇒ false).
+    /// Boolean flag: bare `--key` or `--key true|1|yes` (absent ⇒ false).
     pub fn flag(&self, key: &str) -> bool {
         matches!(self.get(key), Some("true") | Some("1") | Some("yes"))
     }
@@ -157,9 +160,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "missing value")]
+    fn bare_flag_does_not_swallow_the_next_key() {
+        let a = Args::from_iter(["--quick", "--threads", "1,2"]);
+        assert!(a.flag("quick"));
+        assert_eq!(a.thread_ladder(), vec![1, 2]);
+        let trailing = Args::from_iter(["--n", "3", "--quick"]);
+        assert_eq!(trailing.usize("n", 0), 3);
+        assert!(trailing.flag("quick"));
+    }
+
+    #[test]
+    #[should_panic(expected = "expects an integer")]
     fn missing_value_rejected() {
-        Args::from_iter(["--n"]);
+        // A valueless numeric key parses as a flag, so reading it as a
+        // number still fails fast.
+        Args::from_iter(["--n"]).usize("n", 0);
     }
 
     #[test]

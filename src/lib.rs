@@ -41,7 +41,7 @@
 //! assert_eq!(dsu.unite_batch_planned(&[(4, 5), (5, 4), (4, 5)]), 1);
 //! ```
 //!
-//! ## Hot-root cache sessions and the `prefetch` feature
+//! ## Hot-root cache sessions
 //!
 //! Per-thread loops that keep touching the same sets can route their
 //! operations through a hot-root cache session
@@ -60,21 +60,20 @@
 //! ```
 //!
 //! The batch path's gather-wave depth is tunable
-//! (`concurrent_dsu::BatchTuning`, depths two/three), and building
-//! `concurrent-dsu` with `--features prefetch` compiles software-prefetch
-//! intrinsics (x86-64 `prefetcht0` / AArch64 `prfm pldl1keep`) that warm
-//! the *next* gather wave's endpoint words one wave ahead (a no-op
-//! elsewhere). Both knobs — and the cache — are measured by the
-//! `cache_ab` example (`BENCH_PR4.json`); on the CI box the cache pays
-//! only in predictable-hit loops, so it is opt-in, never the default
-//! (`concurrent_dsu::store` docs, "when does the root cache pay").
+//! (`concurrent_dsu::BatchTuning`, depths two/three). The depth and the
+//! cache are measured by the `cache_ab` example (`BENCH_PR4.json`); on
+//! the CI box the cache pays only in predictable-hit loops, so it is
+//! opt-in, never the default (`concurrent_dsu::store` docs, "when does
+//! the root cache pay").
 //!
 //! ## Keyed entity resolution
 //!
 //! Elements that are strings, sparse u64s, or any hashable keys go
 //! through [`KeyedDsu`] — a lock-free sharded id table in front of the
 //! growable core, replacing the `RwLock<HashMap>` facade real systems
-//! deploy (measured against exactly that baseline in `keyed_ab`):
+//! deploy (measured against exactly that baseline in `keyed_ab`). Its
+//! batch entry points hash a whole burst first, then resolve each key
+//! while prefetching the id-table buckets of the key eight ahead:
 //!
 //! ```
 //! use jt_dsu::KeyedDsu;
@@ -107,7 +106,7 @@
 //! **matrix** over `{default, strict-sc}` orderings × `{packed, flat,
 //! sharded}` store layouts (the `default-store-*` cargo features retarget
 //! `Dsu`'s default store so the full suite exercises each layout) plus a
-//! `prefetch` feature cell, a `planned` cell that runs the full workspace
+//! `planned` cell that runs the full workspace
 //! with `DSU_BATCH_PLAN=1` (every count-only batch entry point routed
 //! through the ingestion planner — planning must be invisible to link
 //! counts and partitions), a `keyed` cell that re-runs the keyed-layer
@@ -120,7 +119,10 @@
 //! ratios against the previous run's cached baseline
 //! (>15% regression warns in the job summary, never turns red; baselines
 //! from a different machine are skipped, not compared); and
-//! `harness-smoke` (real experiment binaries end to end, e09 + e14). A
+//! `harness-smoke` (real experiment binaries end to end, e09 + e14); and
+//! `perfbench` (the repository benchmark's unit tests plus a traced
+//! one-second run of every workload, failing on an incorrect result or a
+//! bypass violation). A
 //! weekly `schedule` (plus `workflow_dispatch`) triggers `bench-full`, the
 //! non-quick A/B runs. Runs on the same ref cancel their predecessors.
 //!
