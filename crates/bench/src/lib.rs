@@ -1,9 +1,9 @@
 //! Shared helpers for the Criterion benches.
 //!
 //! The benches complement the `dsu-harness` experiment binaries: the
-//! binaries regenerate the paper-claim tables (E1–E12 in `DESIGN.md`),
-//! while these give statistically disciplined micro-timings for the same
-//! code paths:
+//! binaries regenerate the paper-claim tables (E1–E12, indexed in the
+//! `dsu-harness` crate docs), while these give statistically disciplined
+//! micro-timings for the same code paths:
 //!
 //! * `find_variants` — single-thread cost per find policy (E3's unit cost);
 //! * `concurrent_throughput` — multi-thread ops/s per structure (E4);

@@ -456,14 +456,14 @@ mod tests {
                 i + 1,
                 &mut s,
                 |c, p| {
-                    assert!(DsuStore::id_of(&store, c) < DsuStore::id_of(&store, p));
+                    assert!((DsuStore::id_of(&store, c), c) < (DsuStore::id_of(&store, p), p));
                 },
             );
         }
         for x in 0..n {
             let p = store.load_parent(x);
             if p != x {
-                assert!(DsuStore::id_of(&store, x) < DsuStore::id_of(&store, p));
+                assert!((DsuStore::id_of(&store, x), x) < (DsuStore::id_of(&store, p), p));
             }
         }
     }

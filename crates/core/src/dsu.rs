@@ -4,7 +4,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::bulk::{self, BatchTuning};
 use crate::cache::{self, RootCache};
-use crate::find::{FindPolicy, TwoTrySplit};
+use crate::find::{FindPolicy, NoCompaction, TwoTrySplit};
 use crate::flatten::{self, FlattenPolicy, FlattenTrigger};
 use crate::ingest::PlanTuning;
 use crate::ops;
@@ -55,10 +55,6 @@ pub struct Dsu<
     L: LinkPolicy = crate::DefaultLink,
 > {
     store: S,
-    /// Parent in the *union forest*: written exactly once per element, when
-    /// its link CAS succeeds. Read for offline analysis (heights, depths) at
-    /// quiescence; never read by the operations themselves.
-    union_parent: Box<[AtomicUsize]>,
     /// Number of successful links ever; `set_count = n - links`.
     links: AtomicUsize,
     /// Adaptive flatten trigger, consulted after every ingested batch
@@ -115,10 +111,10 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     /// ```
     ///
     /// The store must be freshly constructed (all singletons): `Dsu`
-    /// tracks the set count and union forest from zero.
+    /// counts links, and so sets, from zero. The store is the whole
+    /// structure — `Dsu` adds no per-element state of its own.
     pub fn from_store(store: S) -> Self {
         Dsu {
-            union_parent: (0..store.len()).map(AtomicUsize::new).collect(),
             store,
             links: AtomicUsize::new(0),
             flatten: FlattenTrigger::from_env(),
@@ -145,7 +141,9 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         self.len() - self.links.load(crate::store::STAT)
     }
 
-    /// The random id (position in the random total order) of element `x`.
+    /// The random id of element `x` — a 32-bit hash of its index, not a
+    /// position in `0..n`; the order is the `(id, index)` key (see
+    /// [`DsuStore::id_of`]).
     ///
     /// # Panics
     ///
@@ -230,9 +228,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     pub fn unite_with<Sk: StatsSink>(&self, x: usize, y: usize, stats: &mut Sk) -> bool {
         self.check(x);
         self.check(y);
-        ops::unite::<F, L, _, _>(&self.store, x, y, stats, |child, parent| {
-            self.record_link(child, parent)
-        })
+        ops::unite::<F, L, _, _>(&self.store, x, y, stats, |_, _| self.record_link())
     }
 
     /// `SameSet` with early termination (paper Algorithm 6): walks only the
@@ -267,9 +263,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     pub fn unite_early_with<Sk: StatsSink>(&self, x: usize, y: usize, stats: &mut Sk) -> bool {
         self.check(x);
         self.check(y);
-        ops::unite_early::<F, L, _, _>(&self.store, x, y, stats, |child, parent| {
-            self.record_link(child, parent)
-        })
+        ops::unite_early::<F, L, _, _>(&self.store, x, y, stats, |_, _| self.record_link())
     }
 
     /// Batched [`unite`](Dsu::unite) over an edge slice (see the
@@ -363,7 +357,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
             BatchTuning::new().planned(PlanTuning::new()),
             None,
             &mut (),
-            |child, parent| self.record_link(child, parent),
+            |_, _| self.record_link(),
             |i, linked| results[i] = linked,
         );
         self.maybe_flatten(&mut ());
@@ -398,7 +392,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
             tuning,
             cache,
             stats,
-            |child, parent| self.record_link(child, parent),
+            |_, _| self.record_link(),
             |_, _| {},
         );
         self.maybe_flatten(stats);
@@ -456,7 +450,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
             &self.store,
             edges,
             &mut (),
-            |child, parent| self.record_link(child, parent),
+            |_, _| self.record_link(),
             |i, linked| results[i] = linked,
         );
         self.maybe_flatten(&mut ());
@@ -519,11 +513,9 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         }
     }
 
-    fn record_link(&self, child: usize, parent: usize) {
-        // Relaxed is enough: union_parent is only read offline at
-        // quiescence, and `links` is a statistic whose own atomicity
+    fn record_link(&self) {
+        // Relaxed is enough: `links` is a statistic whose own atomicity
         // suffices for set_count.
-        self.union_parent[child].store(parent, Ordering::Relaxed);
         self.links.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -533,18 +525,6 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     /// other thread is operating.
     pub fn parents_snapshot(&self) -> Vec<usize> {
         self.store.snapshot()
-    }
-
-    /// Snapshot of the *union forest* (links only, compaction ignored;
-    /// paper Section 3). Meaningful only at quiescence.
-    pub fn union_forest_snapshot(&self) -> Vec<usize> {
-        self.union_parent.iter().map(|p| p.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Height of the union forest — the quantity Corollary 4.2.1 bounds by
-    /// `O(log n)` w.h.p. Call only at quiescence; `O(n)` time.
-    pub fn union_forest_height(&self) -> usize {
-        forest_height(&self.union_forest_snapshot())
     }
 
     /// Canonical labels (root of each element, fully compacted): suitable
@@ -559,6 +539,52 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
             labels[i] = labels[labels[i]];
         }
         labels
+    }
+}
+
+/// The union forest (paper Section 3: links only, compaction ignored) is an
+/// analysis device no operation reads, so `Dsu` does not record it. It does
+/// not need to: [`unite`](Dsu::unite) links root under root, roots do not
+/// depend on compaction, and the ids are fixed, so the parent forest of a
+/// [`NoCompaction`] run is its union forest, and a single-threaded run under
+/// any find policy builds the same union forest as a `NoCompaction` twin
+/// (same seed, layout and link policy) given the same ops. To measure the
+/// union forest, run the ops on such a twin and snapshot its parents.
+///
+/// ```
+/// use concurrent_dsu::{Dsu, NoCompaction};
+///
+/// let twin: Dsu<NoCompaction> = Dsu::with_seed(8, 7);
+/// for i in 0..7 {
+///     twin.unite(i, i + 1);
+/// }
+/// assert_eq!(twin.union_forest_snapshot(), twin.parents_snapshot());
+/// assert!(twin.union_forest_height() >= 1);
+/// ```
+///
+/// What the twin's parent forest is *not*, and why:
+///
+/// * [`unite_early`](Dsu::unite_early) (Algorithm 7) links a root under
+///   whichever larger node its walk reached, and how far the walk gets
+///   depends on compaction. A twin's early unites build the union forest of
+///   the twin's own run, not of a compacting one.
+/// * The batch path ([`unite_batch`](Dsu::unite_batch) and friends) and
+///   flatten sweeps ([`flatten`](Dsu::flatten), the `DSU_FLATTEN` trigger)
+///   compact under every find policy, so after them the twin's parents are
+///   no longer its union forest.
+impl<S: DsuStore, L: LinkPolicy> Dsu<NoCompaction, S, L> {
+    /// Snapshot of the *union forest* — for a [`NoCompaction`] structure
+    /// fed per-op operations, the parent forest
+    /// ([`parents_snapshot`](Dsu::parents_snapshot)). Meaningful only at
+    /// quiescence.
+    pub fn union_forest_snapshot(&self) -> Vec<usize> {
+        self.parents_snapshot()
+    }
+
+    /// Height of the union forest — the quantity Corollary 4.2.1 bounds by
+    /// `O(log n)` w.h.p. Call only at quiescence; `O(n)` time.
+    pub fn union_forest_height(&self) -> usize {
+        forest_height(&self.union_forest_snapshot())
     }
 }
 
@@ -652,8 +678,8 @@ impl<'a, F: FindPolicy, S: DsuStore, L: LinkPolicy> CachedHandle<'a, F, S, L> {
     pub fn unite_with<Sk: StatsSink>(&mut self, x: usize, y: usize, stats: &mut Sk) -> bool {
         self.dsu.check(x);
         self.dsu.check(y);
-        cache::unite_cached::<F, L, _, _>(&self.dsu.store, &mut self.cache, x, y, stats, |c, p| {
-            self.dsu.record_link(c, p)
+        cache::unite_cached::<F, L, _, _>(&self.dsu.store, &mut self.cache, x, y, stats, |_, _| {
+            self.dsu.record_link()
         })
     }
 
@@ -737,9 +763,9 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> ConcurrentUnionFind for Dsu<F, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::find::{Halving, NoCompaction, OneTrySplit};
+    use crate::find::{Halving, OneTrySplit};
     use crate::order::{IndexLink, RandomLink, RankLink};
-    use crate::store::RankedStore;
+    use crate::store::{ParentStore, RankedStore};
     use crate::OpStats;
     use sequential_dsu::{NaiveDsu, Partition};
 
@@ -863,14 +889,11 @@ mod tests {
         assert_eq!(trues.load(Ordering::Relaxed), n - dsu.set_count());
     }
 
-    #[test]
-    fn parent_ids_strictly_increase_along_paths() {
-        // Lemma 3.1 under real concurrency.
-        let n = 2048;
-        let dsu: RandomDsu = Dsu::new(n);
+    /// Eight threads of random unites over `0..n`.
+    fn hammer_unites<F: FindPolicy>(dsu: &RandomDsu<F>) {
+        let n = dsu.len();
         std::thread::scope(|s| {
             for t in 0..8usize {
-                let dsu = &dsu;
                 s.spawn(move || {
                     use rand::{Rng, SeedableRng};
                     let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(100 + t as u64);
@@ -880,20 +903,37 @@ mod tests {
                 });
             }
         });
+    }
+
+    /// The `(id, index)` order key: ids are hashes and may tie, and the
+    /// index breaks the tie (paper Section 7).
+    fn key<F: FindPolicy>(dsu: &RandomDsu<F>, x: usize) -> (u64, usize) {
+        (dsu.id_of(x), x)
+    }
+
+    #[test]
+    fn parent_ids_strictly_increase_along_paths() {
+        // Lemma 3.1 under real concurrency.
+        let n = 2048;
+        let dsu: RandomDsu = Dsu::new(n);
+        hammer_unites(&dsu);
         let parents = dsu.parents_snapshot();
         for (x, &p) in parents.iter().enumerate() {
             if p != x {
-                assert!(dsu.id_of(x) < dsu.id_of(p));
+                assert!(key(&dsu, x) < key(&dsu, p));
             }
         }
-        // The union forest is a sub-relation with the same property, and is
+        // The union forest — the parent forest of a NoCompaction twin under
+        // the same concurrent unites — has the same property, and is
         // acyclic (walking up terminates within n steps).
-        let forest = dsu.union_forest_snapshot();
+        let twin: RandomDsu<NoCompaction> = Dsu::new(n);
+        hammer_unites(&twin);
+        let forest = twin.union_forest_snapshot();
         for x in 0..n {
             let mut u = x;
             let mut steps = 0;
             while forest[u] != u {
-                assert!(dsu.id_of(u) < dsu.id_of(forest[u]));
+                assert!(key(&twin, u) < key(&twin, forest[u]));
                 u = forest[u];
                 steps += 1;
                 assert!(steps <= n, "cycle in union forest");
@@ -905,9 +945,11 @@ mod tests {
     fn union_forest_height_is_logarithmic() {
         // Corollary 4.2.1 (statistical): height = O(log n) w.h.p. Use a
         // generous constant so the test never flakes: c = 6 over 3 seeds.
+        // The unites are sequential, so the NoCompaction twin's forest is
+        // exactly the union forest a compacting run would have built.
         for seed in [1, 2, 3] {
             let n = 1 << 14;
-            let dsu: RandomDsu = Dsu::with_seed(n, seed);
+            let dsu: RandomDsu<NoCompaction> = Dsu::with_seed(n, seed);
             use rand::{Rng, SeedableRng};
             let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed ^ 0xABCD);
             for _ in 0..2 * n {
@@ -916,6 +958,151 @@ mod tests {
             let h = dsu.union_forest_height();
             let bound = 6 * (n as f64).log2() as usize;
             assert!(h <= bound, "height {h} > {bound} for seed {seed}");
+        }
+    }
+
+    /// One per-op step of a twin-claim script: 0 = unite, 1 = same_set,
+    /// 2 = same_set_early. `unite_early` is left out on purpose: Algorithm
+    /// 7 links a root under whichever larger node its walk reached, and
+    /// the walk's reach depends on compaction, so its union forest is not
+    /// the twin's (see the `Dsu<NoCompaction>` impl docs).
+    type Step = (u8, usize, usize);
+
+    fn twin_script(n: usize, len: usize, seed: u64) -> Vec<Step> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(seed);
+        (0..len).map(|_| (rng.gen_range(0..3), rng.gen_range(0..n), rng.gen_range(0..n))).collect()
+    }
+
+    /// Runs `script` through the raw operations under find policy `F`,
+    /// recording every link into `forest` (a node is linked at most once).
+    fn record_script<F: FindPolicy, P: ParentStore>(
+        store: &P,
+        script: &[Step],
+        forest: &[std::cell::Cell<usize>],
+    ) {
+        let record = |child: usize, parent: usize| {
+            assert_eq!(forest[child].replace(parent), child, "{child} linked twice");
+        };
+        for &(kind, x, y) in script {
+            match kind {
+                0 => {
+                    ops::unite::<F, RandomLink, _, _>(store, x, y, &mut (), record);
+                }
+                1 => {
+                    ops::same_set::<F, _, _>(store, x, y, &mut ());
+                }
+                _ => {
+                    ops::same_set_early::<F, RandomLink, _, _>(store, x, y, &mut ());
+                }
+            }
+        }
+    }
+
+    /// Runs `script` through a `Dsu`'s per-op methods.
+    fn run_script<F: FindPolicy>(dsu: &RandomDsu<F>, script: &[Step]) {
+        for &(kind, x, y) in script {
+            match kind {
+                0 => {
+                    dsu.unite(x, y);
+                }
+                1 => {
+                    dsu.same_set(x, y);
+                }
+                _ => {
+                    dsu.same_set_early(x, y);
+                }
+            }
+        }
+    }
+
+    fn singletons(n: usize) -> Vec<std::cell::Cell<usize>> {
+        (0..n).map(std::cell::Cell::new).collect()
+    }
+
+    fn cells(forest: &[std::cell::Cell<usize>]) -> Vec<usize> {
+        forest.iter().map(std::cell::Cell::get).collect()
+    }
+
+    /// The claim behind `union_forest_snapshot` being an alias: the union
+    /// forest recorded from the links of a run under *any* find policy is
+    /// exactly the parent forest of a `NoCompaction` twin given the same
+    /// seed and ops, because links depend only on roots and ids.
+    #[test]
+    fn recorded_union_forest_is_the_no_compaction_twin() {
+        fn check<F: FindPolicy>(n: usize, seed: u64, script: &[Step]) {
+            let store = crate::DefaultStore::with_seed(n, seed);
+            let forest = singletons(n);
+            record_script::<F, _>(&store, script, &forest);
+            let twin: RandomDsu<NoCompaction> = Dsu::with_seed(n, seed);
+            run_script(&twin, script);
+            assert_eq!(cells(&forest), twin.parents_snapshot(), "{} seed {seed}", F::NAME);
+            assert_eq!(twin.union_forest_snapshot(), twin.parents_snapshot());
+            if F::NAME == TwoTrySplit::NAME {
+                // Not vacuous: the compacting run's own parents moved away
+                // from the union forest.
+                assert_ne!(cells(&forest), DsuStore::snapshot(&store), "seed {seed}");
+            }
+        }
+        for seed in [1u64, 2, 3] {
+            let (n, script) = (64, twin_script(64, 400, seed));
+            check::<NoCompaction>(n, seed, &script);
+            check::<OneTrySplit>(n, seed, &script);
+            check::<TwoTrySplit>(n, seed, &script);
+            check::<Halving>(n, seed, &script);
+            check::<crate::find::Compress>(n, seed, &script);
+        }
+    }
+
+    /// The batch path compacts by seeded splitting under every find
+    /// policy, so a twin fed batches has no compaction-free parent forest.
+    /// What the union forest needs still holds: the links a batch records
+    /// depend only on roots and ids, so they are identical whichever find
+    /// policy compacted the forest before it, and after a per-op prefix
+    /// they extend exactly the `NoCompaction` twin's parent forest.
+    #[test]
+    fn batch_links_do_not_depend_on_compaction() {
+        fn record<F: FindPolicy>(
+            n: usize,
+            seed: u64,
+            prefix: &[Step],
+            edges: &[(usize, usize)],
+        ) -> (Vec<usize>, Vec<usize>) {
+            let store = crate::DefaultStore::with_seed(n, seed);
+            let forest = singletons(n);
+            record_script::<F, _>(&store, prefix, &forest);
+            let before = cells(&forest);
+            bulk::unite_batch_sink::<RandomLink, _, _>(
+                &store,
+                edges,
+                &mut (),
+                |child, parent| {
+                    assert_eq!(forest[child].replace(parent), child, "{child} linked twice");
+                },
+                |_, _| {},
+            );
+            (before, cells(&forest))
+        }
+        for seed in [4u64, 5, 6] {
+            let n = 64;
+            let prefix = twin_script(n, 150, seed);
+            let edges: Vec<(usize, usize)> =
+                twin_script(n, 200, !seed).iter().map(|&(_, x, y)| (x, y)).collect();
+            let twin: RandomDsu<NoCompaction> = Dsu::with_seed(n, seed);
+            run_script(&twin, &prefix);
+            let (before, after) = record::<NoCompaction>(n, seed, &prefix, &edges);
+            assert_eq!(before, twin.union_forest_snapshot(), "seed {seed}");
+            assert_ne!(before, after, "the batch must link something");
+            type Recorder = fn(usize, u64, &[Step], &[(usize, usize)]) -> (Vec<usize>, Vec<usize>);
+            let compacting: [Recorder; 4] = [
+                record::<OneTrySplit>,
+                record::<TwoTrySplit>,
+                record::<Halving>,
+                record::<crate::find::Compress>,
+            ];
+            for record in compacting {
+                assert_eq!(record(n, seed, &prefix, &edges), (before.clone(), after.clone()));
+            }
         }
     }
 

@@ -80,7 +80,7 @@ use crate::fault::FaultyStore;
 use crate::find::{FindPolicy, TwoTrySplit};
 use crate::growable::{locate, segment_scan_runs, GrowableDsu, GrowableStore, SEGMENTS};
 use crate::knob;
-use crate::order::{splitmix64, IdOrder, LinkPolicy};
+use crate::order::{hashed_id, IdOrder, LinkPolicy};
 use crate::stats::StatsSink;
 use crate::store::{self, ParentStore, ScanRun};
 
@@ -244,8 +244,7 @@ impl EpochStore {
     /// The packed word a fresh singleton `e` is born with (identical to
     /// [`PackedSegmentedStore`](crate::PackedSegmentedStore)).
     fn singleton_word(&self, e: usize) -> u64 {
-        let id = splitmix64((e as u64).wrapping_add(self.salt)) >> 32;
-        store::pack_word(id, e)
+        store::pack_word(hashed_id(e, self.salt), e)
     }
 
     /// The live node of segment `s`; panics on an unallocated segment

@@ -24,7 +24,7 @@ use crate::find::{FindPolicy, TwoTrySplit};
 use crate::flatten::{self, FlattenPolicy, FlattenTrigger};
 use crate::ingest::PlanTuning;
 use crate::ops;
-use crate::order::{splitmix64, HashOrder, IdOrder, LinkPolicy};
+use crate::order::{hashed_id, HashOrder, IdOrder, LinkPolicy};
 use crate::stats::{OpStats, StatsSink};
 use crate::store::{self, ParentStore};
 use crate::ConcurrentUnionFind;
@@ -200,9 +200,10 @@ pub struct PackedSegmentedStore {
 impl PackedSegmentedStore {
     /// The packed word a fresh singleton `e` is born with.
     fn singleton_word(&self, e: usize) -> u64 {
-        // Top 32 bits of SplitMix64: the best-mixed half.
-        let id = splitmix64((e as u64).wrapping_add(self.salt)) >> 32;
-        store::pack_word(id, e)
+        // The shared fixed-universe id (top 32 bits of SplitMix64, the
+        // best-mixed half), so a `Dsu` and a grown `GrowableDsu` with the
+        // same seed define one order.
+        store::pack_word(hashed_id(e, self.salt), e)
     }
 
     fn cell(&self, i: usize) -> &AtomicU64 {

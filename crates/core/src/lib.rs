@@ -219,9 +219,7 @@ pub use growable::{
 };
 pub use ingest::{BatchPlan, PlanTuning};
 pub use keyed::KeyedDsu;
-pub use order::{
-    HashOrder, IdOrder, IndexLink, LinkPolicy, PermutationOrder, RandomLink, RankLink,
-};
+pub use order::{HashOrder, IdOrder, IndexLink, LinkPolicy, RandomLink, RankLink};
 pub use stats::{OpStats, ShardSkew, StatsSink};
 pub use store::{
     DsuStore, FlatStore, PackedStore, ParentStore, RankedStore, ScanRun, ShardReport, ShardSpec,

@@ -6,6 +6,17 @@
 //! larger. The order is immutable, which is exactly why a single-word CAS
 //! suffices for linking (paper Section 3).
 //!
+//! The order is not stored as a permutation. Paper Section 7 observes that
+//! a random number per element plus a tie-breaking rule is enough, so each
+//! element's id is a seeded hash of its index ([`hashed_id`]) and the index
+//! breaks ties: the order is the `(id, index)` key. The packed layouts keep
+//! the id in the high half of the element's one parent word; the flat and
+//! ranked layouts recompute it from the index. Building a store is one
+//! streaming pass, and every fixed-universe layout and every packed growable
+//! layout defines the same order for the same seed. (The flat growable
+//! [`SegmentedStore`](crate::SegmentedStore) keeps the full 64-bit hash of
+//! [`HashOrder`].)
+//!
 //! The paper's choice is one point on a design axis. "In Search of the
 //! Fastest Concurrent Union-Find Algorithm" (Alistarh, Fedorov & Koval;
 //! arXiv 1911.06347, journal version 2003.01203) shows the winner shifts
@@ -29,10 +40,6 @@
 //! which is the invariant the find loops, the batch linker, and the
 //! early-termination arguments all rest on.
 
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
-
 use crate::store::ParentStore;
 
 /// A fixed total order on element indices.
@@ -45,52 +52,29 @@ pub trait IdOrder: Send + Sync {
     fn less(&self, u: usize, v: usize) -> bool;
 }
 
-/// The order used by the fixed-universe [`Dsu`](crate::Dsu): an explicit
-/// uniformly random permutation of `0..n`, drawn once from a seeded ChaCha
-/// generator so experiments are reproducible.
-#[derive(Debug, Clone)]
-pub struct PermutationOrder {
-    ids: Box<[u64]>,
+/// The 32-bit random id of element `i` under `seed`: the top half of
+/// SplitMix64 of `i + seed`.
+///
+/// Every fixed-universe layout and every packed growable layout draws its
+/// ids from this one function, so for a given seed they all define the same
+/// order — a [`Dsu`](crate::Dsu) of `n` elements and a
+/// [`GrowableDsu`](crate::GrowableDsu) grown to `n` make identical linking
+/// decisions. Ids are not positions in `0..n`, and they can tie: a given
+/// pair ties with probability `2^-32`, so some tie is likely once `n` passes
+/// about `2^16`, and as `n` approaches `2^32` a constant fraction of the
+/// elements share their id with another. The element index breaks ties —
+/// the order is the `(id, index)` key (paper Section 7's tie-breaking
+/// rule).
+#[inline]
+pub const fn hashed_id(i: usize, seed: u64) -> u64 {
+    splitmix64((i as u64).wrapping_add(seed)) >> 32
 }
 
-impl PermutationOrder {
-    /// Draws a uniform permutation of `0..n` with Fisher–Yates.
-    pub fn new(n: usize, seed: u64) -> Self {
-        let mut ids: Vec<u64> = (0..n as u64).collect();
-        ids.shuffle(&mut ChaCha12Rng::seed_from_u64(seed));
-        PermutationOrder { ids: ids.into_boxed_slice() }
-    }
-
-    /// The id (position in the random order, `0..n`) of element `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u >= n`.
-    pub fn id_of(&self, u: usize) -> u64 {
-        self.ids[u]
-    }
-
-    /// Number of elements in the order.
-    pub fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// `true` when the order covers no elements.
-    pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
-    }
-}
-
-impl IdOrder for PermutationOrder {
-    fn less(&self, u: usize, v: usize) -> bool {
-        self.ids[u] < self.ids[v]
-    }
-}
-
-/// The order used by [`GrowableDsu`](crate::GrowableDsu), where elements are
-/// created on the fly (paper Section 7): each element's id is a pseudorandom
-/// 64-bit hash of its index, with the index itself breaking the (rare) ties
-/// so the order stays total. This realizes the paper's suggestion of
+/// The order of the flat growable layout
+/// [`SegmentedStore`](crate::SegmentedStore), where elements are created on
+/// the fly (paper Section 7): each element's id is a pseudorandom 64-bit
+/// hash of its index, with the index itself breaking the (rare) ties so the
+/// order stays total. This realizes the paper's suggestion of
 /// "assigning to each new element a random number selected uniformly from a
 /// universe large enough that the chance of a tie is sufficiently small, and
 /// adding a tie-breaking rule".
@@ -119,8 +103,8 @@ impl IdOrder for HashOrder {
 }
 
 /// SplitMix64: a fast, well-distributed 64-bit mixing function (Steele,
-/// Lea & Flood 2014). Used to give growable elements i.i.d.-looking ids
-/// without storing them.
+/// Lea & Flood 2014). Used to give elements i.i.d.-looking ids without
+/// storing them ([`hashed_id`], [`HashOrder`]).
 pub const fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -267,6 +251,7 @@ impl LinkPolicy for RankLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{DsuStore, PackedStore};
 
     fn check_total_order<O: IdOrder>(order: &O, n: usize) {
         for u in 0..n {
@@ -290,37 +275,32 @@ mod tests {
     }
 
     #[test]
-    fn permutation_order_is_a_total_order() {
-        let order = PermutationOrder::new(12, 42);
-        assert_eq!(order.len(), 12);
-        check_total_order(&order, 12);
+    fn packed_order_is_a_total_order() {
+        check_total_order(&PackedStore::with_seed(12, 42), 12);
+    }
+
+    /// Hashed ids can tie; the index must break the tie so the order stays
+    /// total (paper Section 7). Force ties the hash would almost never draw
+    /// at test scale: indices 0/2 share id 5, and 1/4 share id 3.
+    #[test]
+    fn packed_order_breaks_id_ties_by_index() {
+        let store = PackedStore::from_ids(&[5, 3, 5, 0, 3, 7]);
+        check_total_order(&store, 6);
+        assert!(store.less(0, 2) && !store.less(2, 0), "equal ids: smaller index first");
+        assert!(store.less(1, 4) && !store.less(4, 1), "equal ids: smaller index first");
+        assert!(store.less(3, 1) && store.less(2, 5), "distinct ids decide alone");
+        // The ParentStore view agrees with the IdOrder view on ties.
+        assert!(store.precedes(0, 2) && !store.precedes(2, 0));
     }
 
     #[test]
-    fn permutation_is_a_bijection() {
-        let order = PermutationOrder::new(100, 7);
-        let mut seen = [false; 100];
-        for u in 0..100 {
-            let id = order.id_of(u) as usize;
-            assert!(!seen[id], "id {id} assigned twice");
-            seen[id] = true;
-        }
-    }
-
-    #[test]
-    fn different_seeds_give_different_orders() {
-        let a = PermutationOrder::new(64, 1);
-        let b = PermutationOrder::new(64, 2);
-        assert_ne!(
-            (0..64).map(|u| a.id_of(u)).collect::<Vec<_>>(),
-            (0..64).map(|u| b.id_of(u)).collect::<Vec<_>>()
-        );
-        // Same seed reproduces exactly.
-        let c = PermutationOrder::new(64, 1);
-        assert_eq!(
-            (0..64).map(|u| a.id_of(u)).collect::<Vec<_>>(),
-            (0..64).map(|u| c.id_of(u)).collect::<Vec<_>>()
-        );
+    fn hashed_ids_are_seeded_and_reproducible() {
+        let ids = |seed| (0..64).map(|i| hashed_id(i, seed)).collect::<Vec<_>>();
+        assert_ne!(ids(1), ids(2), "different seeds give different orders");
+        let store = PackedStore::with_seed(64, 1);
+        let stored: Vec<u64> = (0..64).map(|i| DsuStore::id_of(&store, i)).collect();
+        assert_eq!(ids(1), stored, "the packed store carries exactly these ids");
+        assert!(ids(1).iter().all(|&id| id < 1 << 32), "ids fit the packed id half");
     }
 
     #[test]
@@ -347,11 +327,5 @@ mod tests {
         }
         let avg = total as f64 / 1_000.0;
         assert!((24.0..40.0).contains(&avg), "avg flipped bits = {avg}");
-    }
-
-    #[test]
-    fn empty_permutation() {
-        let order = PermutationOrder::new(0, 9);
-        assert!(order.is_empty());
     }
 }

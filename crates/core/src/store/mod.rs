@@ -13,21 +13,24 @@
 //!
 //! # Layout-selection guide
 //!
-//! Three fixed-universe layouts implement [`DsuStore`]; all three draw ids
-//! from the same seeded permutation, so for a given `(n, seed)` they make
-//! identical linking decisions and are interchangeable mid-experiment. Pick
-//! by universe size and thread count:
+//! Three fixed-universe layouts implement [`DsuStore`]; all three take ids
+//! from the same seeded hash of the index
+//! ([`hashed_id`](crate::order::hashed_id), index tie-broken), so for a given
+//! `(n, seed)` they make identical linking decisions and are interchangeable
+//! mid-experiment. Building any of them is one streaming pass. Pick by
+//! universe size and thread count:
 //!
 //! | layout | word | footprint | universe bound | pick when |
 //! |---|---|---|---|---|
 //! | [`PackedStore`] (default) | `id << 32 \| parent` in one `AtomicU64` | 8 B/elem | `2^32` | single socket, universe fits the bound — the all-round fastest |
-//! | [`FlatStore`] | bare `AtomicUsize` parent + side id array | 16 B/elem | `usize` | universes beyond `2^32`, or as the reference/baseline layout |
+//! | [`FlatStore`] | bare `AtomicUsize` parent, id recomputed from the index | 8 B/elem (64-bit) | `usize` | universes beyond `2^32`, or as the reference/baseline layout |
 //! | [`ShardedStore`] | packed words in per-shard slabs | 8 B/elem + shard headers | `2^32` | multi-socket / NUMA placement: each slab is its own allocation, so page placement can follow threads — accept a measured single-socket penalty for it |
 //!
 //! **Packed vs flat.** A find on the packed layout reads the parent *and*
-//! the linking priority in one load, eight elements share a cache line,
-//! and the structure is half the flat layout's footprint; `BENCH_PR1.json`
-//! measures it 13–23% faster on the mixed workload. The flat layout's only
+//! the linking priority in one load, and eight elements share a cache line;
+//! the flat layout recomputes a hash per priority instead. `BENCH_PR1.json`
+//! measured packed 13–23% faster on the mixed workload when the flat layout
+//! still kept a side id array (16 B/elem). The flat layout's only
 //! structural advantages are the full-width universe and a layout the
 //! simulators can poke directly ([`FlatStore::parent_cell`]).
 //!
@@ -35,8 +38,8 @@
 //! universe into power-of-two contiguous blocks indexed by the *high* bits
 //! of the element index, each block a separately allocated,
 //! cache-line-padded packed slab ([`ShardSpec`] picks the count from the
-//! machine's parallelism unless overridden). Because ids are a uniform
-//! random permutation, the hot high-id roots land in uniformly random
+//! machine's parallelism unless overridden). Because ids are i.i.d. hashes
+//! of the index, the hot high-id roots land in uniformly random
 //! *indices* — i.e. uniformly across shards — so no single allocation (or
 //! NUMA node, under first-touch or interleaved placement) carries all the
 //! root traffic, and false sharing cannot cross a shard boundary. The
@@ -395,11 +398,13 @@ pub trait DsuStore: ParentStore + IdOrder {
     /// `"sharded"`).
     const NAME: &'static str;
 
-    /// `n` singleton cells (`parent[i] == i`) with ids drawn as a uniform
-    /// random permutation of `0..n` seeded by `seed`.
+    /// `n` singleton cells (`parent[i] == i`); element `i` gets the id
+    /// [`hashed_id(i, seed)`](crate::order::hashed_id).
     ///
     /// Two stores built with the same `(n, seed)` — of *any* layout —
-    /// assign identical ids, so layouts are interchangeable mid-experiment.
+    /// assign identical ids, so layouts are interchangeable mid-experiment;
+    /// the packed growable layouts grown to `n` with the same seed agree
+    /// too.
     fn with_seed(n: usize, seed: u64) -> Self;
 
     /// Number of cells.
@@ -410,7 +415,10 @@ pub trait DsuStore: ParentStore + IdOrder {
         self.len() == 0
     }
 
-    /// The random id (position in the random total order) of element `u`.
+    /// The random 32-bit id of element `u`. Ids are hashes, not positions
+    /// in `0..n`: two elements may share one (ties grow common as `n`
+    /// approaches `2^32`; see [`hashed_id`](crate::order::hashed_id)), and
+    /// the index breaks the tie — the order is the `(id_of(u), u)` key.
     fn id_of(&self, u: usize) -> u64;
 
     /// A non-atomic snapshot of all parents. Only meaningful at quiescence;

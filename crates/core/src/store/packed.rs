@@ -10,16 +10,19 @@
 //!
 //! A find reads the parent *and* the linking priority of a node in one
 //! load, eight elements share a cache line, and the whole structure is one
-//! 8-byte word per element — half the footprint of the flat layout's
-//! parent-array-plus-id-array. `Unite` compares root priorities straight
-//! from the packed words; there is no side array to miss on. Because the
-//! high 32 bits never change after construction, a CAS that only moves the
-//! parent can reconstruct the full expected/new words from any read of the
-//! cell, and the id bits can be read at any ordering.
+//! 8-byte word per element. `Unite` compares root priorities straight from
+//! the packed words, with no hash to recompute (the flat layout's cost).
+//! Because the high 32 bits never change after construction, a CAS that
+//! only moves the parent can reconstruct the full expected/new words from
+//! any read of the cell, and the id bits can be read at any ordering.
+//!
+//! The id is [`hashed_id`] of the index, so building the store is one
+//! streaming pass that writes each word once. Ids can tie; the order is the
+//! `(id, index)` key (see [`order`](crate::order)).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::order::{IdOrder, PermutationOrder};
+use crate::order::{hashed_id, IdOrder};
 use crate::store::{DsuStore, ParentStore, CAS_FAILURE, CAS_SUCCESS, LOAD, STAT};
 
 /// Low half of a packed word: the mutable parent index (shared by every
@@ -55,8 +58,9 @@ pub(crate) const fn packed_with_parent(seen: u64, new_parent: usize) -> u64 {
 }
 
 /// The packed single-word store: parent index in the low 32 bits, random id
-/// in the high 32 (see the [`store`](crate::store) module docs for layout
-/// and ordering rationale).
+/// ([`hashed_id`]) in the high 32 — one 8-byte word per element and nothing
+/// else (see the [`store`](crate::store) module docs for layout and
+/// ordering rationale).
 ///
 /// The default store of [`Dsu`](crate::Dsu); supports universes up to
 /// [`PackedStore::MAX_UNIVERSE`] elements.
@@ -74,7 +78,7 @@ impl PackedStore {
     /// Largest universe the 32-bit parent/id halves can address.
     pub const MAX_UNIVERSE: u64 = 1 << 32;
 
-    /// `n` singleton cells with permutation ids (see [`DsuStore::with_seed`]).
+    /// `n` singleton cells with hashed ids (see [`DsuStore::with_seed`]).
     ///
     /// # Panics
     ///
@@ -86,9 +90,27 @@ impl PackedStore {
              elements, but n = {n}; use the flat layout (`Dsu<_, FlatStore>`) for larger \
              universes"
         );
-        let order = PermutationOrder::new(n, seed);
-        let words = (0..n).map(|i| AtomicU64::new(pack_word(order.id_of(i), i))).collect();
+        let words = (0..n).map(|i| AtomicU64::new(pack_word(hashed_id(i, seed), i))).collect();
         PackedStore { words }
+    }
+
+    /// Singletons carrying the given ids — for tests that need ties the
+    /// hash would almost never draw.
+    #[cfg(test)]
+    pub(crate) fn from_ids(ids: &[u64]) -> Self {
+        PackedStore {
+            words: ids
+                .iter()
+                .enumerate()
+                .map(|(i, &id)| AtomicU64::new(pack_word(id, i)))
+                .collect(),
+        }
+    }
+
+    /// The `(id, index)` order key of `i`, read from its word.
+    #[inline]
+    fn key(&self, i: usize) -> (u64, usize) {
+        (packed_id(self.words[i].load(STAT)), i)
     }
 }
 
@@ -123,8 +145,9 @@ impl ParentStore for PackedStore {
 impl IdOrder for PackedStore {
     #[inline]
     fn less(&self, u: usize, v: usize) -> bool {
-        // Priorities come straight from the packed words — no side array.
-        packed_id(self.words[u].load(STAT)) < packed_id(self.words[v].load(STAT))
+        // Priorities come straight from the packed words — no side array;
+        // the index breaks hashed-id ties.
+        self.key(u) < self.key(v)
     }
 }
 
@@ -173,15 +196,22 @@ mod tests {
         assert_eq!(s.load_parent(2), 5);
     }
 
+    /// Ids are the shared [`hashed_id`] draw, fit the 32-bit id half, and
+    /// are distinct at test scale: at n = 100 a 32-bit tie has probability
+    /// about 1e-6 and this seed draws none. Ties the hash does draw are
+    /// broken by the index (`order::tests::packed_order_breaks_id_ties_by_index`).
     #[test]
-    fn packed_ids_are_a_permutation() {
+    fn packed_keys_are_distinct() {
         let s = PackedStore::with_seed(100, 5);
-        let mut seen = [false; 100];
-        for i in 0..100 {
-            let id = s.id_of(i) as usize;
-            assert!(id < 100 && !seen[id], "id {id} out of range or duplicated");
-            seen[id] = true;
+        let keys: Vec<(u64, usize)> = (0..100).map(|i| s.key(i)).collect();
+        for (i, &(id, _)) in keys.iter().enumerate() {
+            assert_eq!(id, hashed_id(i, 5), "id of {i} is the shared hash");
+            assert!(id < 1 << 32, "id {id} overflows the id half");
         }
+        let mut ids: Vec<u64> = keys.iter().map(|&(id, _)| id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 100, "duplicate ids at test scale");
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! layout's — a one-shard [`ShardedStore`] *is* a [`PackedStore`] with an
 //! extra pointer hop (regression-tested).
 //!
-//! Why high bits? Linking priorities are a uniform random permutation, so
-//! the hot high-priority roots sit at uniformly random indices — spread
+//! Why high bits? Linking priorities are i.i.d. hashes of the index
+//! ([`hashed_id`]), so the hot high-priority roots sit at uniformly random
+//! indices — spread
 //! uniformly across contiguous index blocks. Every shard therefore carries
 //! an equal share of root traffic in expectation ([`ShardedStore::shard_report`]
 //! measures the realized skew), no slab's cache lines are hammered by all
@@ -28,14 +29,15 @@
 //! no top bits to split on, so it stripes by the **low** bits instead
 //! (element `e` lives on shard `e mod S`) and gives each shard its own
 //! directory of doubling segments; ids are the same on-the-fly index
-//! hashes as [`PackedSegmentedStore`](crate::PackedSegmentedStore), so the
-//! two growable packed layouts make identical linking decisions.
+//! hashes as [`PackedSegmentedStore`](crate::PackedSegmentedStore) (and as
+//! every fixed-universe layout), so the packed layouts make identical
+//! linking decisions for a given seed.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use crate::growable::{locate, GrowableStore, SEGMENTS};
-use crate::order::{splitmix64, IdOrder, PermutationOrder};
+use crate::order::{hashed_id, IdOrder};
 use crate::stats::ShardSkew;
 use crate::store::packed::{pack_word, packed_id, packed_parent, packed_with_parent};
 use crate::store::{DsuStore, PackedStore, ParentStore, CAS_FAILURE, CAS_SUCCESS, LOAD, STAT};
@@ -117,7 +119,8 @@ struct Shard {
 
 /// The sharded packed store: contiguous high-bit-indexed blocks of the
 /// universe, each a cache-line-padded, separately allocated slab of packed
-/// `id | parent` words (see this file's module docs for the rationale and
+/// `id | parent` words, ids from [`hashed_id`] exactly as in [`PackedStore`]
+/// (see this file's module docs for the rationale and
 /// the [`store`](crate::store) module for the layout-selection guide).
 ///
 /// Same `2^32` universe bound as [`PackedStore`]; construction beyond it
@@ -142,7 +145,7 @@ impl std::fmt::Debug for ShardedStore {
 }
 
 impl ShardedStore {
-    /// `n` singleton cells with permutation ids, sharded per `spec` (see
+    /// `n` singleton cells with hashed ids, sharded per `spec` (see
     /// [`DsuStore::with_seed`]; this is the spec-carrying constructor
     /// behind it — pair with [`Dsu::from_store`](crate::Dsu::from_store)
     /// to pick a shard count explicitly).
@@ -161,13 +164,12 @@ impl ShardedStore {
              universes"
         );
         let capacity = n.div_ceil(spec.shards()).next_power_of_two();
-        let order = PermutationOrder::new(n, seed);
         let shards = (0..n.div_ceil(capacity))
             .map(|s| {
                 let base = s * capacity;
                 let top = ((s + 1) * capacity).min(n);
                 let words =
-                    (base..top).map(|g| AtomicU64::new(pack_word(order.id_of(g), g))).collect();
+                    (base..top).map(|g| AtomicU64::new(pack_word(hashed_id(g, seed), g))).collect();
                 CachePadded(Shard { words })
             })
             .collect();
@@ -290,7 +292,8 @@ impl ParentStore for ShardedStore {
 impl IdOrder for ShardedStore {
     #[inline]
     fn less(&self, u: usize, v: usize) -> bool {
-        packed_id(self.cell(u).load(STAT)) < packed_id(self.cell(v).load(STAT))
+        // The index breaks hashed-id ties, as in every packed layout.
+        (packed_id(self.cell(u).load(STAT)), u) < (packed_id(self.cell(v).load(STAT)), v)
     }
 }
 
@@ -380,12 +383,11 @@ impl ShardedSegmentedStore {
         self.shards.len()
     }
 
-    /// The packed word a fresh singleton `e` is born with: the same
-    /// top-32-bits-of-SplitMix64 id as `PackedSegmentedStore`, so the two
-    /// layouts order elements identically for a given seed.
+    /// The packed word a fresh singleton `e` is born with: the shared
+    /// [`hashed_id`], so every packed layout orders elements identically
+    /// for a given seed.
     fn singleton_word(&self, e: usize) -> u64 {
-        let id = splitmix64((e as u64).wrapping_add(self.salt)) >> 32;
-        pack_word(id, e)
+        pack_word(hashed_id(e, self.salt), e)
     }
 
     fn cell(&self, i: usize) -> &AtomicU64 {
@@ -529,12 +531,9 @@ mod tests {
                 assert_eq!(s.load_parent(i), i, "{shards} shards");
             }
             assert_eq!(DsuStore::snapshot(&s), (0..23).collect::<Vec<_>>());
-            // Ids are a permutation regardless of the split.
-            let mut seen = [false; 23];
+            // Ids are the shared hash regardless of the split.
             for i in 0..23 {
-                let id = DsuStore::id_of(&s, i) as usize;
-                assert!(id < 23 && !seen[id]);
-                seen[id] = true;
+                assert_eq!(DsuStore::id_of(&s, i), hashed_id(i, 7), "{shards} shards");
             }
         }
     }

@@ -5,10 +5,13 @@
 //! — compare the compressed forest against the union forest, watch
 //! splitting shorten paths — is worth more than another counter. Both
 //! renderers take plain `&[usize]` snapshots
-//! ([`Dsu::parents_snapshot`](crate::Dsu::parents_snapshot) /
-//! [`Dsu::union_forest_snapshot`](crate::Dsu::union_forest_snapshot)), so
-//! they work for any structure in the workspace and for the APRAM
-//! simulator's memories alike.
+//! ([`Dsu::parents_snapshot`](crate::Dsu::parents_snapshot)), so they work
+//! for any structure in the workspace and for the APRAM simulator's
+//! memories alike. For the union forest, snapshot a
+//! [`NoCompaction`](crate::NoCompaction) twin run on the same seed and ops:
+//! its parent forest *is* the union forest
+//! ([`Dsu::union_forest_snapshot`](crate::Dsu::union_forest_snapshot) is
+//! that alias).
 
 /// Renders a parent forest in Graphviz DOT, children pointing at parents.
 ///

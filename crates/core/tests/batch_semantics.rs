@@ -88,21 +88,21 @@ proptest! {
             oracle.partition()
         );
         // Identical ids and the same deterministic batch schedule imply
-        // identical union forests across *layouts*. (The forest may differ
-        // from the per-op run's: a batch link may attach a root under a
-        // node an earlier link of the same wave already demoted — paper
-        // Algorithm 7's "link under any larger-id node" case — which
-        // changes the forest shape but never the partition.)
-        prop_assert_eq!(packed_batch.union_forest_snapshot(), flat_batch.union_forest_snapshot());
-        prop_assert_eq!(
-            packed_batch.union_forest_snapshot(),
-            sharded_batch.union_forest_snapshot()
-        );
-        // Ids still strictly increase along every batch-built parent path.
+        // identical link *and* compaction decisions across *layouts*, so
+        // the parent forests match exactly (stricter than matching union
+        // forests). (The forest may differ from the per-op run's: a batch
+        // link may attach a root under a node an earlier link of the same
+        // wave already demoted — paper Algorithm 7's "link under any
+        // larger-id node" case — which changes the forest shape but never
+        // the partition.)
         let parents = packed_batch.parents_snapshot();
+        prop_assert_eq!(&parents, &flat_batch.parents_snapshot());
+        prop_assert_eq!(&parents, &sharded_batch.parents_snapshot());
+        // (id, index) keys still strictly increase along every batch-built
+        // parent path.
         for (x, &p) in parents.iter().enumerate() {
             if p != x {
-                prop_assert!(packed_batch.id_of(x) < packed_batch.id_of(p));
+                prop_assert!((packed_batch.id_of(x), x) < (packed_batch.id_of(p), p));
             }
         }
     }
@@ -268,7 +268,7 @@ fn concurrent_batches_match_components_oracle() {
     let parents = packed.parents_snapshot();
     for (x, &p) in parents.iter().enumerate() {
         if p != x {
-            assert!(packed.id_of(x) < packed.id_of(p));
+            assert!((packed.id_of(x), x) < (packed.id_of(p), p));
         }
     }
 }
@@ -379,7 +379,7 @@ fn concurrent_planned_batches_match_components_oracle() {
     let parents = dsu.parents_snapshot();
     for (x, &p) in parents.iter().enumerate() {
         if p != x {
-            assert!(dsu.id_of(x) < dsu.id_of(p));
+            assert!((dsu.id_of(x), x) < (dsu.id_of(p), p));
         }
     }
 }

@@ -225,7 +225,7 @@ fn concurrent_unites_invalidate_cache_mid_batch() {
         let parents = dsu.parents_snapshot();
         for (x, &p) in parents.iter().enumerate() {
             if p != x {
-                assert!(dsu.id_of(x) < dsu.id_of(p));
+                assert!((dsu.id_of(x), x) < (dsu.id_of(p), p));
             }
         }
     }

@@ -189,7 +189,7 @@ fn flatten_races_unites_on_every_layout() {
         let parents = dsu.parents_snapshot();
         for (x, &p) in parents.iter().enumerate() {
             if p != x {
-                assert!(dsu.id_of(x) < dsu.id_of(p), "id inversion {x} -> {p}");
+                assert!((dsu.id_of(x), x) < (dsu.id_of(p), p), "id inversion {x} -> {p}");
             }
         }
         // And a final quiesced sweep reaches the O(1)-find state.

@@ -1,10 +1,12 @@
 //! Layout cross-checks: `Dsu<_, PackedStore>`, `Dsu<_, FlatStore>`, and
 //! `Dsu<_, ShardedStore>` are observationally identical.
 //!
-//! All three layouts draw ids from the same seeded permutation, so for any
-//! seed and single-threaded operation sequence every return value, the set
-//! count, and the final partition must agree *exactly* — packing and
-//! sharding are layout optimizations, never semantic ones. These tests run
+//! All three layouts draw ids from the same seeded hash of the index, so
+//! for any seed and single-threaded operation sequence every return value,
+//! the set count, and the final partition must agree *exactly* — packing
+//! and sharding are layout optimizations, never semantic ones. The packed
+//! growable layout draws from the same hash, so a `GrowableDsu` grown to
+//! `n` agrees with a `Dsu` of `n` too. These tests run
 //! under both the default per-access orderings and `--features strict-sc`
 //! (CI's matrix runs every layout under both), which is what justifies the
 //! relaxed orderings empirically on top of the argument in
@@ -17,8 +19,9 @@
 //! the interleaving went.
 
 use concurrent_dsu::{
-    Dsu, DsuStore, FindPolicy, FlatStore, GrowableDsu, PackedSegmentedStore, PackedStore,
-    SegmentedStore, ShardSpec, ShardedSegmentedStore, ShardedStore, TestWatchdog, TwoTrySplit,
+    Dsu, DsuStore, FindPolicy, FlatStore, GrowableDsu, LinkPolicy, PackedSegmentedStore,
+    PackedStore, ParentStore, RandomLink, SegmentedStore, ShardSpec, ShardedSegmentedStore,
+    ShardedStore, TestWatchdog, TwoTrySplit,
 };
 use proptest::prelude::*;
 use sequential_dsu::{NaiveDsu, Partition};
@@ -46,7 +49,7 @@ fn ops_strategy(n: usize, max_len: usize) -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-fn apply<F: FindPolicy, S: DsuStore>(dsu: &Dsu<F, S>, op: Op) -> bool {
+fn apply<F: FindPolicy, S: DsuStore, L: LinkPolicy>(dsu: &Dsu<F, S, L>, op: Op) -> bool {
     match op {
         Op::Unite(x, y) => dsu.unite(x, y),
         Op::SameSet(x, y) => dsu.same_set(x, y),
@@ -61,7 +64,7 @@ proptest! {
     /// The packed, flat, and sharded layouts agree with each other and
     /// with the sequential oracle on every observable of every operation —
     /// find roots, same-set verdicts, unite verdicts, set counts,
-    /// partitions, and union forests.
+    /// partitions, and parent forests.
     #[test]
     fn all_layouts_agree(ops in ops_strategy(24, 120), seed in any::<u64>()) {
         let n = 24;
@@ -93,10 +96,45 @@ proptest! {
         let canonical = Partition::from_labels(&packed.labels_snapshot());
         prop_assert_eq!(&canonical, &Partition::from_labels(&flat.labels_snapshot()));
         prop_assert_eq!(&canonical, &Partition::from_labels(&sharded.labels_snapshot()));
-        // Identical ids imply identical linking decisions, hence identical
-        // union forests, not just identical partitions.
-        prop_assert_eq!(packed.union_forest_snapshot(), flat.union_forest_snapshot());
-        prop_assert_eq!(packed.union_forest_snapshot(), sharded.union_forest_snapshot());
+        // Identical ids imply identical linking and compaction decisions,
+        // hence identical parent forests (stricter than identical union
+        // forests), not just identical partitions.
+        prop_assert_eq!(packed.parents_snapshot(), flat.parents_snapshot());
+        prop_assert_eq!(packed.parents_snapshot(), sharded.parents_snapshot());
+    }
+
+    /// The fixed-universe and growable packed layouts share one order: a
+    /// `Dsu` of `n` and a `GrowableDsu` grown to `n` with the same seed give
+    /// every element the same id, and then make the same linking and
+    /// compaction decisions — equal verdicts and equal parent forests after
+    /// every operation.
+    #[test]
+    fn fixed_and_growable_packed_share_one_order(
+        ops in ops_strategy(24, 120),
+        seed in any::<u64>(),
+    ) {
+        let n = 24;
+        let fixed: Dsu<TwoTrySplit, PackedStore, RandomLink> = Dsu::with_seed(n, seed);
+        let grown: GrowableDsu<TwoTrySplit, PackedSegmentedStore, RandomLink> =
+            GrowableDsu::with_seed(seed);
+        for x in 0..n {
+            prop_assert_eq!(grown.make_set(), x);
+        }
+        let grown_id = |x: usize| grown.store().priority(x, grown.store().load_word(x));
+        for x in 0..n {
+            prop_assert_eq!(fixed.id_of(x), grown_id(x), "id of {}", x);
+        }
+        let grown_parents = || (0..n).map(|x| grown.store().load_parent(x)).collect::<Vec<_>>();
+        for &op in &ops {
+            let g = match op {
+                Op::Unite(x, y) => grown.unite(x, y),
+                Op::SameSet(x, y) => grown.same_set(x, y),
+                Op::UniteEarly(x, y) => grown.unite_early(x, y),
+                Op::SameSetEarly(x, y) => grown.same_set_early(x, y),
+            };
+            prop_assert_eq!(apply(&fixed, op), g, "{:?} diverged", op);
+            prop_assert_eq!(fixed.parents_snapshot(), grown_parents(), "after {:?}", op);
+        }
     }
 
     /// All three growable layouts match the oracle. The two packed
@@ -176,7 +214,6 @@ fn one_shard_dsu_is_bit_identical_to_packed() {
         // links and same compaction CASes, not just the same answers.
         assert_eq!(packed.parents_snapshot(), sharded.parents_snapshot(), "after op {i}");
     }
-    assert_eq!(packed.union_forest_snapshot(), sharded.union_forest_snapshot());
 }
 
 /// Concurrent stress on the relaxed link/compaction CASes of all three
@@ -253,12 +290,12 @@ fn concurrent_stress_matches_components_all_layouts() {
     assert_eq!(flat.set_count(), oracle.set_count());
     assert_eq!(sharded.set_count(), oracle.set_count());
     // Lemma 3.1 on the packed words of both packed layouts: every
-    // non-root's id is below its parent's id, whatever interleaving the
-    // relaxed CASes went through.
+    // non-root's (id, index) key is below its parent's, whatever
+    // interleaving the relaxed CASes went through.
     fn ids_increase<S: DsuStore>(dsu: &Dsu<TwoTrySplit, S, concurrent_dsu::RandomLink>) {
         for (x, &p) in dsu.parents_snapshot().iter().enumerate() {
             if p != x {
-                assert!(dsu.id_of(x) < dsu.id_of(p));
+                assert!((dsu.id_of(x), x) < (dsu.id_of(p), p));
             }
         }
     }

@@ -10,8 +10,9 @@
 //! * `id-ascending` — edges sorted by the smaller endpoint's id;
 //! * `id-descending` — sorted the other way.
 //!
-//! Measured: union-forest height and find-loop iterations per subsequent
-//! query. The paper's theory protects the `random` row; the table shows
+//! Measured: union-forest height (on a `NoCompaction` twin given the same
+//! seed and unites — its parent forest is the union forest) and find-loop
+//! iterations per subsequent query (on the two-try-splitting structure). The paper's theory protects the `random` row; the table shows
 //! how much (or little) an id-aware adversary gains — in these runs the
 //! correlated orders stay logarithmic too, consistent with the authors'
 //! remark that the assumption is believed removable (their follow-up
@@ -19,7 +20,7 @@
 //!
 //! Usage: `--n 262144 --reps 3 --quick true --csv out.csv`
 
-use concurrent_dsu::{Dsu, TwoTrySplit};
+use concurrent_dsu::{Dsu, NoCompaction, TwoTrySplit};
 use dsu_harness::{mean, run_shards, run_shards_instrumented, table::f2, Args, Table};
 use dsu_workloads::{Op, Workload};
 use rand::seq::SliceRandom;
@@ -59,7 +60,9 @@ fn main() {
             }
             let unites = Workload::new(n, edges.iter().map(|&(a, b)| Op::Unite(a, b)).collect());
             run_shards(&dsu, &unites, threads);
-            heights.push(dsu.union_forest_height() as f64);
+            let twin: Dsu<NoCompaction> = Dsu::with_seed(n, seed);
+            run_shards(&twin, &unites, threads);
+            heights.push(twin.union_forest_height() as f64);
             // Query storm after the build measures how costly the forest is.
             let queries =
                 Workload::new(n, (0..n).map(|i| Op::SameSet(i, (i * 2654435761) % n)).collect());

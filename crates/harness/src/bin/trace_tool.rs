@@ -13,7 +13,7 @@
 //! trace_tool --mode replay --trace /tmp/t.json --p 8
 //! ```
 
-use concurrent_dsu::Dsu;
+use concurrent_dsu::{Dsu, NoCompaction};
 use dsu_harness::{run_shards, table::f2, Args};
 use dsu_workloads::{ElementDist, Workload, WorkloadSpec};
 
@@ -50,10 +50,8 @@ fn main() {
         "replay" => {
             let w = load(&args);
             let p = args.usize("p", 8);
-            let dsu: Dsu = Dsu::with_seed(
-                w.n,
-                args.u64("seed", Dsu::<concurrent_dsu::TwoTrySplit>::DEFAULT_SEED),
-            );
+            let seed = args.u64("seed", Dsu::<concurrent_dsu::TwoTrySplit>::DEFAULT_SEED);
+            let dsu: Dsu = Dsu::with_seed(w.n, seed);
             let metrics = run_shards(&dsu, &w, p);
             println!(
                 "replayed {} ops on {p} threads in {:.2} ms ({} Mops/s)",
@@ -62,7 +60,11 @@ fn main() {
                 f2(metrics.mops())
             );
             println!("final sets: {}", dsu.set_count());
-            println!("union forest height: {}", dsu.union_forest_height());
+            // The union forest is the parent forest of a run without
+            // compaction: replay once more on a NoCompaction twin.
+            let twin: Dsu<NoCompaction> = Dsu::with_seed(w.n, seed);
+            run_shards(&twin, &w, p);
+            println!("union forest height: {} (NoCompaction replay)", twin.union_forest_height());
         }
         other => {
             eprintln!("unknown --mode {other}; expected gen | info | replay");

@@ -18,7 +18,8 @@
 //! - All `DSU_*` environment knobs are documented in one table in the
 //!   `concurrent_dsu` crate docs (`crates/core/src/lib.rs`).
 
-use jt_dsu::{Dsu, OpStats};
+use jt_dsu::concurrent_dsu::viz::depth_histogram;
+use jt_dsu::{Dsu, NoCompaction, OpStats};
 use std::thread;
 
 fn main() {
@@ -51,12 +52,20 @@ fn main() {
 
     assert!(dsu.same_set(0, n - 1));
     assert_eq!(dsu.set_count(), 1);
+    // The union forest (links only, paper Section 3) is not stored: links
+    // depend only on roots and ids, never on compaction, so it is the
+    // parent forest of a run without compaction. Replay the ring on a
+    // `NoCompaction` twin to measure it.
+    let twin: Dsu<NoCompaction> = Dsu::new(n);
+    for i in 0..n - 1 {
+        twin.unite(i, i + 1);
+    }
     println!(
         "done in {:.1} ms — {} elements in {} set (height of union forest: {})",
         elapsed.as_secs_f64() * 1e3,
         n,
         dsu.set_count(),
-        dsu.union_forest_height(),
+        twin.union_forest_height(),
     );
 
     // Instrumentation: count the work of a single query.
@@ -78,7 +87,8 @@ fn main() {
     // `every=<k>` / `hops=<x>`) arms an adaptive trigger that sweeps
     // after ingested batches when sampled depth warrants it.
     dsu.flatten();
-    assert!(dsu.union_forest_height() >= 1, "union forest is untouched; only paths flatten");
+    assert!(depth_histogram(&dsu.parents_snapshot()).max <= 1, "flatten leaves one-hop paths");
+    assert!(twin.union_forest_height() >= 1, "union forest is untouched; only paths flatten");
 
     // Elements that aren't dense integers? `jt_dsu::KeyedDsu` maps any
     // hashable key (strings, sparse u64s, row keys) to dense ids through

@@ -126,10 +126,9 @@
 //! weekly `schedule` (plus `workflow_dispatch`) triggers `bench-full`, the
 //! non-quick A/B runs. Runs on the same ref cancel their predecessors.
 //!
-//! See `README.md` for the tour, `ARCHITECTURE.md` for the crate map and
-//! layer diagram, `docs/benchmarks.md` for every measured claim and its
-//! artifact, `DESIGN.md` for the system inventory and experiment index,
-//! and `EXPERIMENTS.md` for paper-vs-measured results.
+//! See `examples/quickstart.rs` for the tour, `ARCHITECTURE.md` for the
+//! crate map and layer diagram, and `docs/benchmarks.md` for every measured
+//! claim and its artifact.
 
 pub use apram;
 pub use apram_dsu;
