@@ -2,11 +2,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use crate::bulk::{self, BatchTuning};
-use crate::cache::{self, RootCache};
-use crate::find::{FindPolicy, NoCompaction, TwoTrySplit};
+use crate::bulk;
+use crate::find::{FindPolicy, TwoTrySplit};
 use crate::flatten::{self, FlattenPolicy, FlattenTrigger};
-use crate::ingest::PlanTuning;
 use crate::ops;
 use crate::order::LinkPolicy;
 use crate::stats::{OpStats, StatsSink};
@@ -275,13 +273,8 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     /// Single-threaded, the final partition, the set count, and the
     /// returned link count are exactly those of calling
     /// [`unite`](Dsu::unite) one edge at a time; concurrent callers get
-    /// the usual linearizable semantics per edge. (Those quantities are
-    /// order-invariant, which is what lets the `DSU_BATCH_PLAN`
-    /// environment variable route this count-only entry point through the
-    /// ingestion planner — [`bulk::runtime_default_tuning`] — without any
-    /// observable change. Per-edge verdicts come from
-    /// [`unite_batch_results`](Dsu::unite_batch_results), which always
-    /// keeps the original-order contract.)
+    /// the usual linearizable semantics per edge. Per-edge verdicts come
+    /// from [`unite_batch_results`](Dsu::unite_batch_results).
     ///
     /// # Panics
     ///
@@ -296,141 +289,19 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
         edges: &[(usize, usize)],
         stats: &mut Sk,
     ) -> usize {
-        self.unite_batch_tuned_with(edges, bulk::runtime_default_tuning(), None, stats)
-    }
-
-    /// [`unite_batch`](Dsu::unite_batch) routed through the ingestion
-    /// planner ([`ingest`](crate::ingest)) at the default [`PlanTuning`]:
-    /// intra-batch duplicates are dropped before touching the store, and
-    /// the remaining edges drain bucket by block-local bucket (spillover
-    /// pass last) so each gather wave's loads stay inside one resident
-    /// index range. Returns the number of successful links — identical to
-    /// the unplanned path (link counts and the final partition are
-    /// order-invariant).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint is out of range.
-    pub fn unite_batch_planned(&self, edges: &[(usize, usize)]) -> usize {
-        self.unite_batch_planned_with(edges, &mut ())
-    }
-
-    /// [`unite_batch_planned`](Dsu::unite_batch_planned) reporting work —
-    /// including the planner's `dup_edges_dropped` / `bucket_count` /
-    /// `spill_edges` counters — into `stats`.
-    pub fn unite_batch_planned_with<Sk: StatsSink>(
-        &self,
-        edges: &[(usize, usize)],
-        stats: &mut Sk,
-    ) -> usize {
-        self.unite_batch_tuned_with(
-            edges,
-            BatchTuning::new().planned(PlanTuning::new()),
-            None,
-            stats,
-        )
-    }
-
-    /// [`unite_batch_planned`](Dsu::unite_batch_planned) that also
-    /// reports, per edge (indexed as in the input slice), whether this
-    /// batch performed the link. Unlike
-    /// [`unite_batch_results`](Dsu::unite_batch_results) the verdicts
-    /// follow the **plan order** — bit-identical, single-threaded, to a
-    /// per-op `unite` loop over
-    /// [`BatchPlan::execution_order`](crate::BatchPlan::execution_order),
-    /// with dropped duplicates reporting `false`; see the verdict
-    /// contract in [`ingest`](crate::ingest). Callers that need
-    /// original-arrival-order verdicts want the unplanned variant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint is out of range.
-    pub fn unite_batch_planned_results(&self, edges: &[(usize, usize)]) -> Vec<bool> {
         for &(x, y) in edges {
             self.check(x);
             self.check(y);
         }
-        let mut results = vec![false; edges.len()];
-        bulk::unite_batch_sink_tuned::<L, _, _>(
+        let linked = bulk::unite_batch_sink::<L, _, _>(
             &self.store,
             edges,
-            BatchTuning::new().planned(PlanTuning::new()),
-            None,
-            &mut (),
-            |_, _| self.record_link(),
-            |i, linked| results[i] = linked,
-        );
-        self.maybe_flatten(&mut ());
-        results
-    }
-
-    /// [`unite_batch`](Dsu::unite_batch) with explicit [`BatchTuning`]
-    /// (gather-wave depth) and an optional caller-owned hot-root cache:
-    /// `Some` memoizes hot endpoints across this call *and* any other
-    /// calls sharing the cache (the per-thread session shape —
-    /// [`Dsu::cached`] packages it); `None` disables memoization entirely
-    /// (the cache-off arm of the `cache_ab` A/B). Tuning is performance
-    /// only — every combination returns the same verdicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint is out of range.
-    pub fn unite_batch_tuned_with<Sk: StatsSink>(
-        &self,
-        edges: &[(usize, usize)],
-        tuning: BatchTuning,
-        cache: Option<&mut RootCache>,
-        stats: &mut Sk,
-    ) -> usize {
-        for &(x, y) in edges {
-            self.check(x);
-            self.check(y);
-        }
-        let linked = bulk::unite_batch_sink_tuned::<L, _, _>(
-            &self.store,
-            edges,
-            tuning,
-            cache,
             stats,
             |_, _| self.record_link(),
             |_, _| {},
         );
         self.maybe_flatten(stats);
         linked
-    }
-
-    /// Opens a hot-root cache session: a thread-private handle whose
-    /// finds start at the last root each element was observed under,
-    /// falling back to the normal walk when a single validation load says
-    /// the entry went stale (see the [`cache`](crate::cache) module for
-    /// the semantics argument). Results are identical to the plain
-    /// operations; only the work changes. One handle per thread — its
-    /// methods take `&mut self`. The cache capacity is
-    /// [`RootCache::DEFAULT_CAPACITY`] unless the `DSU_CACHE_SLOTS`
-    /// environment variable overrides it (via [`RootCache::default`]).
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use concurrent_dsu::Dsu;
-    ///
-    /// let dsu: Dsu = Dsu::new(100);
-    /// let mut session = dsu.cached();
-    /// for i in 0..99 {
-    ///     session.unite(i, i + 1);
-    /// }
-    /// assert!(session.same_set(0, 99));
-    /// assert!(dsu.same_set(0, 99)); // plain ops see the same sets
-    /// ```
-    pub fn cached(&self) -> CachedHandle<'_, F, S, L> {
-        CachedHandle { dsu: self, cache: RootCache::default() }
-    }
-
-    /// [`cached`](Dsu::cached) with an explicit cache capacity (slots,
-    /// rounded up to a power of two). Capacity trades hit rate against
-    /// footprint and never affects results.
-    pub fn cached_with_capacity(&self, capacity: usize) -> CachedHandle<'_, F, S, L> {
-        CachedHandle { dsu: self, cache: RootCache::with_capacity(capacity) }
     }
 
     /// [`unite_batch`](Dsu::unite_batch) that also reports, per edge,
@@ -523,6 +394,40 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
 
     /// Snapshot of the current parent pointers. Meaningful only when no
     /// other thread is operating.
+    ///
+    /// # Measuring the union forest
+    ///
+    /// The union forest (paper Section 3: links only, compaction ignored)
+    /// is an analysis device no operation reads, so `Dsu` does not record
+    /// it. It does not need to: [`unite`](Dsu::unite) links root under
+    /// root, roots do not depend on compaction, and the ids are fixed, so
+    /// the parent forest of a [`NoCompaction`](crate::NoCompaction) run is
+    /// its union forest, and a single-threaded run under any find policy
+    /// builds the same union forest as a `NoCompaction` twin (same seed,
+    /// layout and link policy) given the same ops. To measure the union
+    /// forest, run the ops on such a twin and snapshot its parents:
+    ///
+    /// ```
+    /// use concurrent_dsu::{viz, Dsu, NoCompaction};
+    ///
+    /// let twin: Dsu<NoCompaction> = Dsu::with_seed(8, 7);
+    /// for i in 0..7 {
+    ///     twin.unite(i, i + 1);
+    /// }
+    /// let height = viz::depth_histogram(&twin.parents_snapshot()).max;
+    /// assert!(height >= 1);
+    /// ```
+    ///
+    /// What the twin's parent forest is *not*, and why:
+    ///
+    /// * [`unite_early`](Dsu::unite_early) (Algorithm 7) links a root under
+    ///   whichever larger node its walk reached, and how far the walk gets
+    ///   depends on compaction. A twin's early unites build the union forest
+    ///   of the twin's own run, not of a compacting one.
+    /// * The batch path ([`unite_batch`](Dsu::unite_batch) and friends) and
+    ///   flatten sweeps ([`flatten`](Dsu::flatten), the `DSU_FLATTEN`
+    ///   trigger) compact under every find policy, so after them the twin's
+    ///   parents are no longer its union forest.
     pub fn parents_snapshot(&self) -> Vec<usize> {
         self.store.snapshot()
     }
@@ -542,194 +447,6 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> Dsu<F, S, L> {
     }
 }
 
-/// The union forest (paper Section 3: links only, compaction ignored) is an
-/// analysis device no operation reads, so `Dsu` does not record it. It does
-/// not need to: [`unite`](Dsu::unite) links root under root, roots do not
-/// depend on compaction, and the ids are fixed, so the parent forest of a
-/// [`NoCompaction`] run is its union forest, and a single-threaded run under
-/// any find policy builds the same union forest as a `NoCompaction` twin
-/// (same seed, layout and link policy) given the same ops. To measure the
-/// union forest, run the ops on such a twin and snapshot its parents.
-///
-/// ```
-/// use concurrent_dsu::{Dsu, NoCompaction};
-///
-/// let twin: Dsu<NoCompaction> = Dsu::with_seed(8, 7);
-/// for i in 0..7 {
-///     twin.unite(i, i + 1);
-/// }
-/// assert_eq!(twin.union_forest_snapshot(), twin.parents_snapshot());
-/// assert!(twin.union_forest_height() >= 1);
-/// ```
-///
-/// What the twin's parent forest is *not*, and why:
-///
-/// * [`unite_early`](Dsu::unite_early) (Algorithm 7) links a root under
-///   whichever larger node its walk reached, and how far the walk gets
-///   depends on compaction. A twin's early unites build the union forest of
-///   the twin's own run, not of a compacting one.
-/// * The batch path ([`unite_batch`](Dsu::unite_batch) and friends) and
-///   flatten sweeps ([`flatten`](Dsu::flatten), the `DSU_FLATTEN` trigger)
-///   compact under every find policy, so after them the twin's parents are
-///   no longer its union forest.
-impl<S: DsuStore, L: LinkPolicy> Dsu<NoCompaction, S, L> {
-    /// Snapshot of the *union forest* — for a [`NoCompaction`] structure
-    /// fed per-op operations, the parent forest
-    /// ([`parents_snapshot`](Dsu::parents_snapshot)). Meaningful only at
-    /// quiescence.
-    pub fn union_forest_snapshot(&self) -> Vec<usize> {
-        self.parents_snapshot()
-    }
-
-    /// Height of the union forest — the quantity Corollary 4.2.1 bounds by
-    /// `O(log n)` w.h.p. Call only at quiescence; `O(n)` time.
-    pub fn union_forest_height(&self) -> usize {
-        forest_height(&self.union_forest_snapshot())
-    }
-}
-
-/// A thread-private hot-root cache session over a [`Dsu`] (from
-/// [`Dsu::cached`]): the same operations, with every find first probing a
-/// small element-to-last-observed-root table and validating the entry with
-/// one load (see [`cache`](crate::cache)). Verdicts are identical to the
-/// plain operations — proptested in `tests/cache_semantics.rs` — so a
-/// handle can be dropped and recreated, or mixed freely with plain and
-/// batched calls from other threads.
-///
-/// Methods take `&mut self` (the cache is the handle's private state), so
-/// a handle serves one thread at a time; share the underlying [`Dsu`]
-/// across threads and give each thread its own handle.
-pub struct CachedHandle<
-    'a,
-    F: FindPolicy = TwoTrySplit,
-    S: DsuStore = crate::DefaultStore,
-    L: LinkPolicy = crate::DefaultLink,
-> {
-    dsu: &'a Dsu<F, S, L>,
-    cache: RootCache,
-}
-
-impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> std::fmt::Debug for CachedHandle<'_, F, S, L> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CachedHandle")
-            .field("dsu", self.dsu)
-            .field("cache_capacity", &self.cache.capacity())
-            .finish()
-    }
-}
-
-impl<'a, F: FindPolicy, S: DsuStore, L: LinkPolicy> CachedHandle<'a, F, S, L> {
-    /// The structure this session operates on.
-    pub fn dsu(&self) -> &'a Dsu<F, S, L> {
-        self.dsu
-    }
-
-    /// Empties the session's cache (e.g. between phases with different
-    /// hot sets). Never required for correctness.
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
-    /// Root of the tree containing `x`, starting from the cached root when
-    /// the entry validates. Same staleness caveat as [`Dsu::find`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x >= self.dsu().len()`.
-    pub fn find(&mut self, x: usize) -> usize {
-        self.find_with(x, &mut ())
-    }
-
-    /// [`find`](CachedHandle::find) reporting work (including
-    /// `cache_hits` / `cache_stale`) into `stats`.
-    pub fn find_with<Sk: StatsSink>(&mut self, x: usize, stats: &mut Sk) -> usize {
-        self.dsu.check(x);
-        cache::find_cached::<F, _, _>(&self.dsu.store, &mut self.cache, x, stats).0
-    }
-
-    /// [`Dsu::same_set`] with cached finds — identical verdicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` is out of range.
-    pub fn same_set(&mut self, x: usize, y: usize) -> bool {
-        self.same_set_with(x, y, &mut ())
-    }
-
-    /// [`same_set`](CachedHandle::same_set) reporting work into `stats`.
-    pub fn same_set_with<Sk: StatsSink>(&mut self, x: usize, y: usize, stats: &mut Sk) -> bool {
-        self.dsu.check(x);
-        self.dsu.check(y);
-        cache::same_set_cached::<F, _, _>(&self.dsu.store, &mut self.cache, x, y, stats)
-    }
-
-    /// [`Dsu::unite`] with cached finds — identical verdicts; the link CAS
-    /// expects the exact word the cache validation (or fallback walk)
-    /// observed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` is out of range.
-    pub fn unite(&mut self, x: usize, y: usize) -> bool {
-        self.unite_with(x, y, &mut ())
-    }
-
-    /// [`unite`](CachedHandle::unite) reporting work into `stats`.
-    pub fn unite_with<Sk: StatsSink>(&mut self, x: usize, y: usize, stats: &mut Sk) -> bool {
-        self.dsu.check(x);
-        self.dsu.check(y);
-        cache::unite_cached::<F, L, _, _>(&self.dsu.store, &mut self.cache, x, y, stats, |_, _| {
-            self.dsu.record_link()
-        })
-    }
-
-    /// [`Dsu::unite_batch`] with the session's cache carried across calls,
-    /// so hot endpoints stay memoized from one burst to the next.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint is out of range.
-    pub fn unite_batch(&mut self, edges: &[(usize, usize)]) -> usize {
-        self.unite_batch_with(edges, &mut ())
-    }
-
-    /// [`unite_batch`](CachedHandle::unite_batch) reporting work into
-    /// `stats`.
-    pub fn unite_batch_with<Sk: StatsSink>(
-        &mut self,
-        edges: &[(usize, usize)],
-        stats: &mut Sk,
-    ) -> usize {
-        self.dsu.unite_batch_tuned_with(edges, BatchTuning::default(), Some(&mut self.cache), stats)
-    }
-}
-
-/// Height (max arc count root-to-leaf) of a self-loop-rooted parent forest.
-pub(crate) fn forest_height(parent: &[usize]) -> usize {
-    let mut depth = vec![usize::MAX; parent.len()];
-    let mut tallest = 0;
-    for start in 0..parent.len() {
-        let mut path = Vec::new();
-        let mut u = start;
-        while depth[u] == usize::MAX && parent[u] != u {
-            path.push(u);
-            u = parent[u];
-        }
-        let mut d = if parent[u] == u && depth[u] == usize::MAX {
-            depth[u] = 0;
-            0
-        } else {
-            depth[u]
-        };
-        for &node in path.iter().rev() {
-            d += 1;
-            depth[node] = d;
-        }
-        tallest = tallest.max(depth[start]);
-    }
-    tallest
-}
-
 impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> ConcurrentUnionFind for Dsu<F, S, L> {
     fn len(&self) -> usize {
         Dsu::len(self)
@@ -747,14 +464,6 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> ConcurrentUnionFind for Dsu<F, S
         Dsu::unite_batch(self, edges)
     }
 
-    fn unite_batch_cached(&self, edges: &[(usize, usize)], cache: &mut RootCache) -> usize {
-        self.unite_batch_tuned_with(edges, BatchTuning::default(), Some(cache), &mut ())
-    }
-
-    fn unite_batch_planned(&self, edges: &[(usize, usize)]) -> usize {
-        Dsu::unite_batch_planned(self, edges)
-    }
-
     fn find(&self, x: usize) -> usize {
         Dsu::find(self, x)
     }
@@ -763,7 +472,7 @@ impl<F: FindPolicy, S: DsuStore, L: LinkPolicy> ConcurrentUnionFind for Dsu<F, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::find::{Halving, OneTrySplit};
+    use crate::find::{Halving, NoCompaction, OneTrySplit};
     use crate::order::{IndexLink, RandomLink, RankLink};
     use crate::store::{ParentStore, RankedStore};
     use crate::OpStats;
@@ -928,7 +637,7 @@ mod tests {
         // acyclic (walking up terminates within n steps).
         let twin: RandomDsu<NoCompaction> = Dsu::new(n);
         hammer_unites(&twin);
-        let forest = twin.union_forest_snapshot();
+        let forest = twin.parents_snapshot();
         for x in 0..n {
             let mut u = x;
             let mut steps = 0;
@@ -955,7 +664,7 @@ mod tests {
             for _ in 0..2 * n {
                 dsu.unite(rng.gen_range(0..n), rng.gen_range(0..n));
             }
-            let h = dsu.union_forest_height();
+            let h = crate::viz::depth_histogram(&dsu.parents_snapshot()).max;
             let bound = 6 * (n as f64).log2() as usize;
             assert!(h <= bound, "height {h} > {bound} for seed {seed}");
         }
@@ -965,7 +674,7 @@ mod tests {
     /// 2 = same_set_early. `unite_early` is left out on purpose: Algorithm
     /// 7 links a root under whichever larger node its walk reached, and
     /// the walk's reach depends on compaction, so its union forest is not
-    /// the twin's (see the `Dsu<NoCompaction>` impl docs).
+    /// the twin's (see [`Dsu::parents_snapshot`]).
     type Step = (u8, usize, usize);
 
     fn twin_script(n: usize, len: usize, seed: u64) -> Vec<Step> {
@@ -1024,7 +733,7 @@ mod tests {
         forest.iter().map(std::cell::Cell::get).collect()
     }
 
-    /// The claim behind `union_forest_snapshot` being an alias: the union
+    /// The claim behind measuring the union forest on a twin: the union
     /// forest recorded from the links of a run under *any* find policy is
     /// exactly the parent forest of a `NoCompaction` twin given the same
     /// seed and ops, because links depend only on roots and ids.
@@ -1037,7 +746,6 @@ mod tests {
             let twin: RandomDsu<NoCompaction> = Dsu::with_seed(n, seed);
             run_script(&twin, script);
             assert_eq!(cells(&forest), twin.parents_snapshot(), "{} seed {seed}", F::NAME);
-            assert_eq!(twin.union_forest_snapshot(), twin.parents_snapshot());
             if F::NAME == TwoTrySplit::NAME {
                 // Not vacuous: the compacting run's own parents moved away
                 // from the union forest.
@@ -1091,7 +799,7 @@ mod tests {
             let twin: RandomDsu<NoCompaction> = Dsu::with_seed(n, seed);
             run_script(&twin, &prefix);
             let (before, after) = record::<NoCompaction>(n, seed, &prefix, &edges);
-            assert_eq!(before, twin.union_forest_snapshot(), "seed {seed}");
+            assert_eq!(before, twin.parents_snapshot(), "seed {seed}");
             assert_ne!(before, after, "the batch must link something");
             type Recorder = fn(usize, u64, &[Step], &[(usize, usize)]) -> (Vec<usize>, Vec<usize>);
             let compacting: [Recorder; 4] = [
@@ -1215,50 +923,6 @@ mod tests {
     }
 
     #[test]
-    fn planned_batch_matches_per_op_invariants() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(909);
-        let n = 64;
-        let edges: Vec<(usize, usize)> =
-            (0..400).map(|_| (rng.gen_range(0..n), rng.gen_range(0..n))).collect();
-        let planned: Dsu = Dsu::with_seed(n, 6);
-        let per_op: Dsu = Dsu::with_seed(n, 6);
-        let links = planned.unite_batch_planned(&edges);
-        let expected = edges.iter().filter(|&&(x, y)| per_op.unite(x, y)).count();
-        assert_eq!(links, expected, "link counts are order-invariant");
-        assert_eq!(planned.set_count(), per_op.set_count());
-        assert_eq!(
-            Partition::from_labels(&planned.labels_snapshot()),
-            Partition::from_labels(&per_op.labels_snapshot())
-        );
-        // The verdict-reporting planned variant agrees on the invariants
-        // too (per-edge assignment is covered by tests/batch_semantics.rs).
-        let again: Dsu = Dsu::with_seed(n, 6);
-        let results = again.unite_batch_planned_results(&edges);
-        assert_eq!(results.iter().filter(|&&b| b).count(), expected);
-        assert_eq!(again.set_count(), per_op.set_count());
-        // And through the trait.
-        let via_trait: Dsu = Dsu::with_seed(n, 6);
-        assert_eq!(ConcurrentUnionFind::unite_batch_planned(&via_trait, &edges), expected);
-    }
-
-    #[test]
-    fn planned_batch_reports_planner_counters() {
-        let dsu: Dsu = Dsu::new(1 << 20);
-        let mut stats = OpStats::default();
-        // A duplicate, a cross-block edge (the default bucket spans 2^18
-        // elements), and two block-local edges.
-        let edges = [(0, 1), (1, 0), (0, 1 << 19), (5, 6)];
-        let links = dsu.unite_batch_planned_with(&edges, &mut stats);
-        assert_eq!(links, 3);
-        assert_eq!(stats.ops, 4, "dropped duplicates still count as ops");
-        assert_eq!(stats.dup_edges_dropped, 1);
-        assert_eq!(stats.spill_edges, 1);
-        assert_eq!(stats.bucket_count, 1);
-        assert_eq!(stats.links_ok, 3);
-    }
-
-    #[test]
     fn link_axis_variants_match_oracle_and_each_other() {
         // Every link policy is a different tree shape, never a different
         // partition: index linking on the default layout and rank linking
@@ -1344,13 +1008,6 @@ mod tests {
     }
 
     #[test]
-    fn forest_height_helper() {
-        assert_eq!(forest_height(&[0, 0, 1, 2]), 3);
-        assert_eq!(forest_height(&[0, 1, 2]), 0);
-        assert_eq!(forest_height(&[]), 0);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_panics() {
         let dsu: Dsu = Dsu::new(4);
@@ -1368,6 +1025,10 @@ mod tests {
         assert_eq!(one.set_count(), 1);
     }
 
+    fn height<S: DsuStore, L: LinkPolicy>(dsu: &Dsu<NoCompaction, S, L>) -> usize {
+        crate::viz::depth_histogram(&dsu.parents_snapshot()).max
+    }
+
     /// Deterministic deep tree: NoCompaction + index linking over chain
     /// unites leaves the path 0→1→…→n-1 intact, so the pre-flatten depth
     /// is provably n-1, not a w.h.p. accident.
@@ -1376,11 +1037,7 @@ mod tests {
         for i in 1..n {
             dsu.unite(0, i);
         }
-        assert!(
-            forest_height(&dsu.parents_snapshot()) > 1,
-            "{}: chain workload failed to build depth",
-            S::NAME
-        );
+        assert!(height(&dsu) > 1, "{}: chain workload failed to build depth", S::NAME);
         dsu
     }
 
@@ -1390,11 +1047,7 @@ mod tests {
             let n = 128;
             let dsu = deep_chain::<S>(n);
             dsu.flatten();
-            assert!(
-                forest_height(&dsu.parents_snapshot()) <= 1,
-                "{}: flatten left depth > 1",
-                S::NAME
-            );
+            assert!(height(&dsu) <= 1, "{}: flatten left depth > 1", S::NAME);
             assert_eq!(dsu.set_count(), 1, "{}: flatten changed the partition", S::NAME);
             assert!(dsu.same_set(0, n - 1));
         }
@@ -1412,7 +1065,7 @@ mod tests {
         let stats = dsu.flatten_parallel(4);
         assert_eq!(stats.flatten_passes, 1);
         assert!(stats.flatten_jumps > 0, "a depth-{} path must need jumps", n - 1);
-        assert!(forest_height(&dsu.parents_snapshot()) <= 1);
+        assert!(height(&dsu) <= 1);
         assert_eq!(Partition::from_labels(&dsu.labels_snapshot()), before);
     }
 
@@ -1423,21 +1076,18 @@ mod tests {
         let mut dsu = deep_chain::<crate::store::FlatStore>(96);
         dsu.set_flatten_policy(FlattenPolicy::EveryKBatches(1));
         dsu.unite_batch(&[]);
-        assert!(forest_height(&dsu.parents_snapshot()) <= 1, "every-1 trigger did not fire");
+        assert!(height(&dsu) <= 1, "every-1 trigger did not fire");
 
         let mut dsu = deep_chain::<crate::store::FlatStore>(96);
         dsu.set_flatten_policy(FlattenPolicy::HopsThreshold(1.0));
         dsu.unite_batch(&[]);
-        assert!(
-            forest_height(&dsu.parents_snapshot()) <= 1,
-            "hops-threshold trigger did not fire on a deep chain"
-        );
+        assert!(height(&dsu) <= 1, "hops-threshold trigger did not fire on a deep chain");
 
         // Off is inert: the same empty batch leaves the chain deep.
         let mut dsu = deep_chain::<crate::store::FlatStore>(96);
         dsu.set_flatten_policy(FlattenPolicy::Off);
         dsu.unite_batch(&[]);
-        assert!(forest_height(&dsu.parents_snapshot()) > 1, "Off must never flatten");
+        assert!(height(&dsu) > 1, "Off must never flatten");
     }
 
     #[test]

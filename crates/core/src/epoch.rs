@@ -75,7 +75,6 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::bulk;
 use crate::fault::FaultyStore;
 use crate::find::{FindPolicy, TwoTrySplit};
 use crate::growable::{locate, segment_scan_runs, GrowableDsu, GrowableStore, SEGMENTS};
@@ -694,8 +693,8 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
         }
     }
 
-    /// The wrapped structure — every [`GrowableDsu`] operation (cached
-    /// sessions, planned batches, flatten sweeps, stats variants) is
+    /// The wrapped structure — every [`GrowableDsu`] operation (batches,
+    /// flatten sweeps, stats variants) is
     /// available through it; shared-state mutations it performs are
     /// versioned like any other (they go through the store).
     pub fn dsu(&self) -> &GrowableDsu<F, S, L> {
@@ -902,8 +901,7 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
         Sk: StatsSink,
     {
         let at = self.snapshot_with(stats);
-        let linked =
-            self.dsu.unite_batch_tuned_with(edges, bulk::runtime_default_tuning(), None, stats);
+        let linked = self.dsu.unite_batch_with(edges, stats);
         let verdict = if validate(&self.dsu, linked) {
             BatchOutcome::Committed { linked }
         } else {
@@ -943,7 +941,7 @@ impl<F: FindPolicy, S: EpochFork, L: LinkPolicy> VersionedDsu<F, S, L> {
             }
             self.batches += 1;
         }
-        self.dsu.unite_batch_tuned_with(edges, bulk::runtime_default_tuning(), None, stats)
+        self.dsu.unite_batch_with(edges, stats)
     }
 
     // ----- Time-travel queries (concurrent, &self) -----

@@ -18,11 +18,9 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use crate::bulk::{self, BatchTuning};
-use crate::cache::{self, RootCache};
+use crate::bulk;
 use crate::find::{FindPolicy, TwoTrySplit};
 use crate::flatten::{self, FlattenPolicy, FlattenTrigger};
-use crate::ingest::PlanTuning;
 use crate::ops;
 use crate::order::{hashed_id, HashOrder, IdOrder, LinkPolicy};
 use crate::stats::{OpStats, StatsSink};
@@ -515,44 +513,56 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableDsu<F, S, L> {
 
     /// Batched [`unite`](GrowableDsu::unite) over an edge slice (see the
     /// [`bulk`] module): filter pass, then word-seeded link
-    /// pass. Returns the number of successful links. Like
-    /// [`Dsu::unite_batch`](crate::Dsu::unite_batch), this count-only
-    /// entry point honors the `DSU_BATCH_PLAN` environment variable
-    /// ([`bulk::runtime_default_tuning`]) — planning never changes what it
-    /// reports.
+    /// pass. Returns the number of successful links.
     ///
     /// # Panics
     ///
     /// Panics if any endpoint was not returned by a completed `make_set`.
     pub fn unite_batch(&self, edges: &[(usize, usize)]) -> usize {
-        self.unite_batch_tuned_with(edges, bulk::runtime_default_tuning(), None, &mut ())
+        self.unite_batch_with(edges, &mut ())
     }
 
-    /// [`unite_batch`](GrowableDsu::unite_batch) routed through the
-    /// ingestion planner ([`ingest`](crate::ingest)) at the default
-    /// [`PlanTuning`] — the growable counterpart of
-    /// [`Dsu::unite_batch_planned`](crate::Dsu::unite_batch_planned).
+    /// [`unite_batch`](GrowableDsu::unite_batch) reporting work into
+    /// `stats` — the growable counterpart of
+    /// [`Dsu::unite_batch_with`](crate::Dsu::unite_batch_with).
     ///
     /// # Panics
     ///
     /// Panics if any endpoint was not returned by a completed `make_set`.
-    pub fn unite_batch_planned(&self, edges: &[(usize, usize)]) -> usize {
-        self.unite_batch_planned_with(edges, &mut ())
-    }
-
-    /// [`unite_batch_planned`](GrowableDsu::unite_batch_planned)
-    /// reporting work (including the planner counters) into `stats`.
-    pub fn unite_batch_planned_with<Sk: StatsSink>(
+    pub fn unite_batch_with<Sk: StatsSink>(
         &self,
         edges: &[(usize, usize)],
         stats: &mut Sk,
     ) -> usize {
-        self.unite_batch_tuned_with(
+        for &(x, y) in edges {
+            self.check(x);
+            self.check(y);
+        }
+        let linked = bulk::unite_batch_sink::<L, _, _>(
+            &self.store,
             edges,
-            BatchTuning::new().planned(PlanTuning::new()),
-            None,
             stats,
-        )
+            |_, _| {
+                self.links.fetch_add(1, Ordering::Relaxed);
+            },
+            |_, _| {},
+        );
+        self.maybe_flatten(stats);
+        linked
+    }
+
+    /// Forwarder kept for callers of the retired tuning API: ignores its
+    /// two middle arguments and runs
+    /// [`unite_batch_with`](GrowableDsu::unite_batch_with).
+    #[doc(hidden)]
+    pub fn unite_batch_tuned_with<Sk: StatsSink>(
+        &self,
+        edges: &[(usize, usize)],
+        _tuning: (),
+        _cache: Option<std::convert::Infallible>,
+        stats: &mut Sk,
+    ) -> usize {
+        self.unite_batch_with(edges, stats)
     }
 
     /// [`unite_batch`](GrowableDsu::unite_batch) that also reports each
@@ -604,40 +614,6 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableDsu<F, S, L> {
         })
     }
 
-    /// [`unite_batch`](GrowableDsu::unite_batch) with explicit
-    /// [`BatchTuning`] and an optional caller-owned hot-root cache — the
-    /// growable counterpart of
-    /// [`Dsu::unite_batch_tuned_with`](crate::Dsu::unite_batch_tuned_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint was not returned by a completed `make_set`.
-    pub fn unite_batch_tuned_with<Sk: StatsSink>(
-        &self,
-        edges: &[(usize, usize)],
-        tuning: BatchTuning,
-        cache: Option<&mut RootCache>,
-        stats: &mut Sk,
-    ) -> usize {
-        for &(x, y) in edges {
-            self.check(x);
-            self.check(y);
-        }
-        let linked = bulk::unite_batch_sink_tuned::<L, _, _>(
-            &self.store,
-            edges,
-            tuning,
-            cache,
-            stats,
-            |_, _| {
-                self.links.fetch_add(1, Ordering::Relaxed);
-            },
-            |_, _| {},
-        );
-        self.maybe_flatten(stats);
-        linked
-    }
-
     // ----- Flatten maintenance pass (see the [`flatten`] module) -----
 
     /// One sequential store-ordered flatten sweep over every element
@@ -684,20 +660,6 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableDsu<F, S, L> {
         }
     }
 
-    /// Opens a hot-root cache session — the growable counterpart of
-    /// [`Dsu::cached`](crate::Dsu::cached). One handle per thread; results
-    /// are identical to the plain operations. Capacity follows
-    /// [`RootCache::default`] (honoring `DSU_CACHE_SLOTS`).
-    pub fn cached(&self) -> GrowableCachedHandle<'_, F, S, L> {
-        GrowableCachedHandle { dsu: self, cache: RootCache::default() }
-    }
-
-    /// [`cached`](GrowableDsu::cached) with an explicit cache capacity
-    /// (slots, rounded up to a power of two).
-    pub fn cached_with_capacity(&self, capacity: usize) -> GrowableCachedHandle<'_, F, S, L> {
-        GrowableCachedHandle { dsu: self, cache: RootCache::with_capacity(capacity) }
-    }
-
     /// Canonical labels for all current elements; call only at quiescence.
     pub fn labels_snapshot(&self) -> Vec<usize> {
         let mut labels: Vec<usize> = (0..self.len()).map(|i| self.find(i)).collect();
@@ -705,102 +667,6 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableDsu<F, S, L> {
             labels[i] = labels[labels[i]];
         }
         labels
-    }
-}
-
-/// A thread-private hot-root cache session over a [`GrowableDsu`] (from
-/// [`GrowableDsu::cached`]) — the growable counterpart of
-/// [`CachedHandle`](crate::CachedHandle), with the same
-/// verdicts-identical contract. Elements created by `make_set` *after*
-/// the handle was opened are usable through it immediately (the cache
-/// simply has no entries for them yet).
-pub struct GrowableCachedHandle<
-    'a,
-    F: FindPolicy = TwoTrySplit,
-    S: GrowableStore = crate::DefaultGrowableStore,
-    L: LinkPolicy = crate::DefaultLink,
-> {
-    dsu: &'a GrowableDsu<F, S, L>,
-    cache: RootCache,
-}
-
-impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> std::fmt::Debug
-    for GrowableCachedHandle<'_, F, S, L>
-{
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GrowableCachedHandle")
-            .field("dsu", self.dsu)
-            .field("cache_capacity", &self.cache.capacity())
-            .finish()
-    }
-}
-
-impl<'a, F: FindPolicy, S: GrowableStore, L: LinkPolicy> GrowableCachedHandle<'a, F, S, L> {
-    /// The structure this session operates on.
-    pub fn dsu(&self) -> &'a GrowableDsu<F, S, L> {
-        self.dsu
-    }
-
-    /// Empties the session's cache. Never required for correctness.
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
-    /// Root of the tree containing `x` via the cache (same contract as
-    /// [`GrowableDsu::find`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` was not returned by a completed `make_set`.
-    pub fn find(&mut self, x: usize) -> usize {
-        self.dsu.check(x);
-        cache::find_cached::<F, _, _>(&self.dsu.store, &mut self.cache, x, &mut ()).0
-    }
-
-    /// [`GrowableDsu::same_set`] with cached finds — identical verdicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` was not returned by a completed `make_set`.
-    pub fn same_set(&mut self, x: usize, y: usize) -> bool {
-        self.dsu.check(x);
-        self.dsu.check(y);
-        cache::same_set_cached::<F, _, _>(&self.dsu.store, &mut self.cache, x, y, &mut ())
-    }
-
-    /// [`GrowableDsu::unite`] with cached finds — identical verdicts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` or `y` was not returned by a completed `make_set`.
-    pub fn unite(&mut self, x: usize, y: usize) -> bool {
-        self.dsu.check(x);
-        self.dsu.check(y);
-        cache::unite_cached::<F, L, _, _>(
-            &self.dsu.store,
-            &mut self.cache,
-            x,
-            y,
-            &mut (),
-            |_, _| {
-                self.dsu.links.fetch_add(1, Ordering::Relaxed);
-            },
-        )
-    }
-
-    /// [`GrowableDsu::unite_batch`] with the session's cache carried
-    /// across calls.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any endpoint was not returned by a completed `make_set`.
-    pub fn unite_batch(&mut self, edges: &[(usize, usize)]) -> usize {
-        self.dsu.unite_batch_tuned_with(
-            edges,
-            BatchTuning::default(),
-            Some(&mut self.cache),
-            &mut (),
-        )
     }
 }
 
@@ -819,14 +685,6 @@ impl<F: FindPolicy, S: GrowableStore, L: LinkPolicy> ConcurrentUnionFind for Gro
 
     fn unite_batch(&self, edges: &[(usize, usize)]) -> usize {
         GrowableDsu::unite_batch(self, edges)
-    }
-
-    fn unite_batch_cached(&self, edges: &[(usize, usize)], cache: &mut RootCache) -> usize {
-        self.unite_batch_tuned_with(edges, BatchTuning::default(), Some(cache), &mut ())
-    }
-
-    fn unite_batch_planned(&self, edges: &[(usize, usize)]) -> usize {
-        GrowableDsu::unite_batch_planned(self, edges)
     }
 
     fn find(&self, x: usize) -> usize {
@@ -962,26 +820,14 @@ mod tests {
     }
 
     #[test]
-    fn planned_batch_matches_per_op_invariants() {
-        let planned: GrowableDsu = GrowableDsu::with_initial(32);
-        let per_op: GrowableDsu = GrowableDsu::with_initial(32);
-        // Dup-heavy modular stream: the planner drops repeats, the
-        // invariants must not move.
-        let edges: Vec<(usize, usize)> =
-            (0..120).map(|i| ((i * 13) % 32, (i * 7 + 1) % 32)).collect();
-        let links = planned.unite_batch_planned(&edges);
-        let expected = edges.iter().filter(|&&(x, y)| per_op.unite(x, y)).count();
-        assert_eq!(links, expected);
-        assert_eq!(planned.set_count(), per_op.set_count());
-        assert_eq!(
-            Partition::from_labels(&planned.labels_snapshot()),
-            Partition::from_labels(&per_op.labels_snapshot())
-        );
+    fn unite_batch_with_reports_stats() {
+        let dsu: GrowableDsu = GrowableDsu::with_initial(8);
         let mut stats = crate::OpStats::default();
-        let rerun: GrowableDsu = GrowableDsu::with_initial(32);
-        rerun.unite_batch_planned_with(&edges, &mut stats);
-        assert_eq!(stats.ops, 120, "dropped duplicates still count as ops");
-        assert!(stats.dup_edges_dropped > 0, "modular stream repeats pairs: {stats:?}");
+        let links = dsu.unite_batch_with(&[(0, 1), (1, 0), (2, 3)], &mut stats);
+        assert_eq!(links, 2);
+        assert_eq!(stats.ops, 3);
+        assert_eq!(stats.links_ok, 2);
+        assert_eq!(dsu.set_count(), 6);
     }
 
     #[test]

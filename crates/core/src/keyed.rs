@@ -58,7 +58,7 @@
 //! buckets of key `i + 8`, so the cache misses of several keys overlap.
 //! The per-key entry points run the same routine as a batch of one.
 //! Batched merges then route the dense edges through [`unite_batch`]'s
-//! waves (honoring `DSU_BATCH_PLAN`, like every count-only batch path).
+//! waves.
 //!
 //! # When to use which layer
 //!
@@ -75,7 +75,6 @@ use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::OnceLock;
 
-use crate::bulk;
 use crate::find::{FindPolicy, TwoTrySplit};
 use crate::growable::{locate, GrowableDsu, GrowableStore};
 use crate::order::splitmix64;
@@ -534,7 +533,7 @@ impl<K: Hash + Eq, F: FindPolicy, S: GrowableStore> KeyedDsu<K, F, S> {
         let resolved = |id: Option<usize>| id.expect("inserts always resolve");
         let edges: Vec<(usize, usize)> =
             ids.chunks_exact(2).map(|p| (resolved(p[0]), resolved(p[1]))).collect();
-        self.dsu.unite_batch_tuned_with(&edges, bulk::runtime_default_tuning(), None, stats)
+        self.dsu.unite_batch_with(&edges, stats)
     }
 
     /// Batched [`same_set`](KeyedDsu::same_set): one verdict per pair,

@@ -73,30 +73,6 @@
 //! (`DSU_KEY_SHARDS`) because id-table sharding is a hash-capacity
 //! question, not a placement one.
 //!
-//! **When does the root cache pay?** Orthogonal to the layout choice, the
-//! [`cache`](crate::cache) module can start finds at each element's last
-//! observed root ([`Dsu::cached`](crate::Dsu::cached) sessions,
-//! [`unite_batch_cached`](crate::ConcurrentUnionFind::unite_batch_cached)),
-//! validated by one load. It pays exactly when that validation load
-//! replaces walk loads that would have **missed in the hardware caches**
-//! — long paths over a DRAM-resident store whose hot set is *wider than
-//! the LLC but narrower than the table*. It does **not** pay when the
-//! hardware already absorbs the walk, which `BENCH_PR4.json` shows is the
-//! common case on a single busy box: Zipf-hot elements keep their own
-//! path nodes L1/L2-resident precisely because they are hot, so on the
-//! bench host the cached arms ran 0.22–0.68x the uncached ones at every
-//! size and thread count — the counters attribute it (12–18% fewer reads, yet
-//! slower: the saved loads were cache-hot, while every find paid the
-//! probe's bookkeeping plus a ~50/50 validation branch predictors cannot
-//! learn, the same lesson as PR 2's Algorithm-6 filter). Use a cached
-//! session when the hit branch is *predictable* (hit rates near 1: a
-//! Borůvka scan's few surviving roots, percolation's virtual top/bottom
-//! probes) or when path nodes genuinely miss (universe ≫ LLC with flat
-//! skew); skip it for wave-fed batch ingestion, whose gather waves
-//! already preload the levels a hit would skip. Cache-residency caveat
-//! applies as everywhere: measure at `n ≥ 2^22` before believing either
-//! direction.
-//!
 //! The default store behind [`Dsu`](crate::Dsu)'s `S` parameter follows the
 //! `default-store-flat` / `default-store-sharded` cargo features (see
 //! [`DefaultStore`](crate::DefaultStore)); CI runs the whole test suite

@@ -9,9 +9,8 @@
 //! for any structure in the workspace and for the APRAM simulator's
 //! memories alike. For the union forest, snapshot a
 //! [`NoCompaction`](crate::NoCompaction) twin run on the same seed and ops:
-//! its parent forest *is* the union forest
-//! ([`Dsu::union_forest_snapshot`](crate::Dsu::union_forest_snapshot) is
-//! that alias).
+//! its parent forest *is* the union forest (see
+//! [`Dsu::parents_snapshot`](crate::Dsu::parents_snapshot)).
 
 /// Renders a parent forest in Graphviz DOT, children pointing at parents.
 ///
@@ -251,6 +250,8 @@ mod tests {
         assert!((h.mean - 4.0 / 5.0).abs() < 1e-12);
         assert_eq!(h.nodes_deeper_than_one(), 1);
         assert_eq!(h.summary(), "depth max 2 mean 0.800 | 0:2 1:2 2:1");
+        // A path of three arcs.
+        assert_eq!(depth_histogram(&[0, 0, 1, 2]).max, 3);
     }
 
     #[test]
@@ -259,6 +260,7 @@ mod tests {
         assert_eq!((empty.max, empty.mean, empty.nodes_deeper_than_one()), (0, 0.0, 0));
         let flat = depth_histogram(&[1, 1, 1]);
         assert_eq!(flat.nodes_deeper_than_one(), 0);
+        assert_eq!(depth_histogram(&[0, 1, 2]).max, 0, "all roots");
     }
 
     #[test]

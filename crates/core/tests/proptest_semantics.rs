@@ -132,7 +132,7 @@ proptest! {
             }
         }
         let parents = dsu.parents_snapshot();
-        let forest = twin.union_forest_snapshot();
+        let forest = twin.parents_snapshot();
         for (x, &p) in parents.iter().enumerate() {
             if p != x {
                 prop_assert!((dsu.id_of(x), x) < (dsu.id_of(p), p));

@@ -12,36 +12,10 @@
 //!
 //! Usage: `--min-exp 10 --max-exp 20 --reps 3 --threads-per-run 8 --quick true --csv out.csv`
 
+use concurrent_dsu::viz::depth_histogram;
 use concurrent_dsu::{Dsu, NoCompaction};
 use dsu_harness::{mean, run_shards, table::f2, Args, Table};
 use dsu_workloads::WorkloadSpec;
-
-fn forest_height_and_mean_depth(parent: &[usize]) -> (usize, f64) {
-    let mut depth = vec![usize::MAX; parent.len()];
-    let mut tallest = 0usize;
-    let mut total = 0usize;
-    for start in 0..parent.len() {
-        let mut path = Vec::new();
-        let mut u = start;
-        while depth[u] == usize::MAX && parent[u] != u {
-            path.push(u);
-            u = parent[u];
-        }
-        let mut d = if parent[u] == u && depth[u] == usize::MAX {
-            depth[u] = 0;
-            0
-        } else {
-            depth[u]
-        };
-        for &node in path.iter().rev() {
-            d += 1;
-            depth[node] = d;
-        }
-        tallest = tallest.max(depth[start]);
-        total += depth[start];
-    }
-    (tallest, total as f64 / parent.len().max(1) as f64)
-}
 
 fn main() {
     let args = Args::parse();
@@ -69,9 +43,9 @@ fn main() {
             let dsu: Dsu<NoCompaction> = Dsu::with_seed(n, seed);
             let w = WorkloadSpec::new(n, 2 * n).unite_fraction(1.0).generate(seed ^ 0x9E37);
             run_shards(&dsu, &w, threads);
-            let (h, md) = forest_height_and_mean_depth(&dsu.union_forest_snapshot());
-            heights.push(h as f64);
-            depths.push(md);
+            let hist = depth_histogram(&dsu.parents_snapshot());
+            heights.push(hist.max as f64);
+            depths.push(hist.mean);
             final_sets = dsu.set_count();
         }
         let h_max = heights.iter().cloned().fold(0.0f64, f64::max);

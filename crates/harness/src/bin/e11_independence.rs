@@ -20,6 +20,7 @@
 //!
 //! Usage: `--n 262144 --reps 3 --quick true --csv out.csv`
 
+use concurrent_dsu::viz::depth_histogram;
 use concurrent_dsu::{Dsu, NoCompaction, TwoTrySplit};
 use dsu_harness::{mean, run_shards, run_shards_instrumented, table::f2, Args, Table};
 use dsu_workloads::{Op, Workload};
@@ -62,7 +63,7 @@ fn main() {
             run_shards(&dsu, &unites, threads);
             let twin: Dsu<NoCompaction> = Dsu::with_seed(n, seed);
             run_shards(&twin, &unites, threads);
-            heights.push(twin.union_forest_height() as f64);
+            heights.push(depth_histogram(&twin.parents_snapshot()).max as f64);
             // Query storm after the build measures how costly the forest is.
             let queries =
                 Workload::new(n, (0..n).map(|i| Op::SameSet(i, (i * 2654435761) % n)).collect());

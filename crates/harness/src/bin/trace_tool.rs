@@ -13,6 +13,7 @@
 //! trace_tool --mode replay --trace /tmp/t.json --p 8
 //! ```
 
+use concurrent_dsu::viz::depth_histogram;
 use concurrent_dsu::{Dsu, NoCompaction};
 use dsu_harness::{run_shards, table::f2, Args};
 use dsu_workloads::{ElementDist, Workload, WorkloadSpec};
@@ -64,7 +65,10 @@ fn main() {
             // compaction: replay once more on a NoCompaction twin.
             let twin: Dsu<NoCompaction> = Dsu::with_seed(w.n, seed);
             run_shards(&twin, &w, p);
-            println!("union forest height: {} (NoCompaction replay)", twin.union_forest_height());
+            println!(
+                "union forest height: {} (NoCompaction replay)",
+                depth_histogram(&twin.parents_snapshot()).max
+            );
         }
         other => {
             eprintln!("unknown --mode {other}; expected gen | info | replay");

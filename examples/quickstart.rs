@@ -65,7 +65,7 @@ fn main() {
         elapsed.as_secs_f64() * 1e3,
         n,
         dsu.set_count(),
-        twin.union_forest_height(),
+        depth_histogram(&twin.parents_snapshot()).max,
     );
 
     // Instrumentation: count the work of a single query.
@@ -88,7 +88,10 @@ fn main() {
     // after ingested batches when sampled depth warrants it.
     dsu.flatten();
     assert!(depth_histogram(&dsu.parents_snapshot()).max <= 1, "flatten leaves one-hop paths");
-    assert!(twin.union_forest_height() >= 1, "union forest is untouched; only paths flatten");
+    assert!(
+        depth_histogram(&twin.parents_snapshot()).max >= 1,
+        "union forest is untouched; only paths flatten"
+    );
 
     // Elements that aren't dense integers? `jt_dsu::KeyedDsu` maps any
     // hashable key (strings, sparse u64s, row keys) to dense ids through

@@ -35,36 +35,9 @@
 //! assert_eq!(dsu.unite_batch(&[(1, 2), (2, 0), (3, 4)]), 2);
 //! assert_eq!(dsu.set_count(), 5);
 //!
-//! // Duplicate-heavy bursts over huge universes can opt into the
-//! // ingestion planner (intra-batch dedup + block-local radix buckets;
-//! // see `concurrent_dsu::ingest` for when it pays):
-//! assert_eq!(dsu.unite_batch_planned(&[(4, 5), (5, 4), (4, 5)]), 1);
+//! // Duplicate edges within a burst link once:
+//! assert_eq!(dsu.unite_batch(&[(4, 5), (5, 4), (4, 5)]), 1);
 //! ```
-//!
-//! ## Hot-root cache sessions
-//!
-//! Per-thread loops that keep touching the same sets can route their
-//! operations through a hot-root cache session
-//! ([`concurrent_dsu::Dsu::cached`]): finds start at the element's last
-//! observed root, validated by a single load, with identical verdicts to
-//! the plain operations (see `concurrent_dsu::cache`):
-//!
-//! ```
-//! use jt_dsu::Dsu;
-//!
-//! let dsu: Dsu = Dsu::new(10);
-//! let mut session = dsu.cached();
-//! assert!(session.unite(0, 1));
-//! assert!(session.same_set(1, 0));
-//! assert_eq!(session.unite_batch(&[(1, 2), (0, 2)]), 1);
-//! ```
-//!
-//! The batch path's gather-wave depth is tunable
-//! (`concurrent_dsu::BatchTuning`, depths two/three). The depth and the
-//! cache are measured by the `cache_ab` example (`BENCH_PR4.json`); on
-//! the CI box the cache pays only in predictable-hit loops, so it is
-//! opt-in, never the default (`concurrent_dsu::store` docs, "when does
-//! the root cache pay").
 //!
 //! ## Keyed entity resolution
 //!
@@ -106,10 +79,7 @@
 //! **matrix** over `{default, strict-sc}` orderings × `{packed, flat,
 //! sharded}` store layouts (the `default-store-*` cargo features retarget
 //! `Dsu`'s default store so the full suite exercises each layout) plus a
-//! `planned` cell that runs the full workspace
-//! with `DSU_BATCH_PLAN=1` (every count-only batch entry point routed
-//! through the ingestion planner — planning must be invisible to link
-//! counts and partitions), a `keyed` cell that re-runs the keyed-layer
+//! `keyed` cell that re-runs the keyed-layer
 //! suite under both orderings with `DSU_KEY_SHARDS=2`, and `variants` /
 //! `flatten` / `epochs` cells that re-run the full core suite with
 //! `default-link-index`, `DSU_FLATTEN=auto`, and `DSU_EPOCH_EVERY=1`

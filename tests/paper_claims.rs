@@ -3,6 +3,7 @@
 //! logarithmic heights, the lockstep simulation, the lower-bound workload,
 //! bounded per-op work, and the work-bound predictions' shape.
 
+use jt_dsu::concurrent_dsu::viz::depth_histogram;
 use jt_dsu::concurrent_dsu::{Dsu, NoCompaction, OpStats, TwoTrySplit};
 use jt_dsu::dsu_workloads::{binomial_build_ops, lower_bound_workload, WorkloadSpec};
 use jt_dsu::sequential_dsu::{alpha, one_try_work_bound, two_try_work_bound};
@@ -17,7 +18,7 @@ fn corollary_4_2_1_logarithmic_height_at_test_scale() {
         let dsu: Dsu<NoCompaction> = Dsu::with_seed(n, seed);
         let w = WorkloadSpec::new(n, 2 * n).unite_fraction(1.0).generate(seed);
         jt_dsu::dsu_harness::run_shards(&dsu, &w, 8);
-        let h = dsu.union_forest_height();
+        let h = depth_histogram(&dsu.parents_snapshot()).max;
         assert!(h <= 6 * 13, "height {h} exceeds 6 lg n for seed {seed}");
     }
 }
